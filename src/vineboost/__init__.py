@@ -15,8 +15,8 @@ from .boosting import (
     FittedPairCopula,
     boost,
     deselect,
+    fit_family,
     fit_pair,
-    fit_plain,
     predict_tau,
     stop_aic,
     stop_cv,
@@ -82,8 +82,8 @@ __all__ = [
     "stop_aic",
     "stop_cv",
     "deselect",
+    "fit_family",
     "fit_pair",
-    "fit_plain",
     "predict_tau",
     # vine
     "VineEdge",

@@ -13,7 +13,6 @@ threshold are deselected and the model is boosted again on the survivors.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ __all__ = [
     "stop_cv",
     "attributable_risk",
     "deselect",
-    "fit_plain",
+    "fit_family",
     "fit_pair",
     "predict_tau",
 ]
@@ -190,14 +189,13 @@ def boost(pairs, Z, family, control, selectable=None):
     )
 
 
-def stop_aic(path, pairs, Z, family):
+def stop_aic(path):
     """Optimal iteration count by AIC over the recorded path.
 
     AIC(m) = 2 N r[m] + 2 df(m) with df the active-set size; ties resolve to
     the smallest m.  Iteration 0 (the all-zero model) is a candidate.
     """
-    n = len(np.asarray(pairs))
-    aic = 2.0 * n * path.risk + 2.0 * path.active_size
+    aic = 2.0 * path.n_obs * path.risk + 2.0 * path.active_size
     return int(np.argmin(aic))
 
 
@@ -331,32 +329,39 @@ def _kept_from_beta(beta, path, control):
     return tuple(sorted(kept))
 
 
-def _fit_one(pairs, Z, family, control):
-    """Boosting with early stopping, deselection and the final refit."""
+def fit_family(pairs, Z, family, control, refit=True):
+    """Boost one family and stop early by AIC or cross-validation.
+
+    With ``refit`` the covariates are then deselected and the model is
+    boosted again on the survivors; when ``m_opt`` is 0 or nothing survives
+    the result is the all-zero model.  Without ``refit`` the coefficients
+    at the stopping iteration are returned and ``survivors`` and
+    ``refit_path`` stay ``None``.
+    """
     path = boost(pairs, Z, family, control)
     if control.stopping == "cv":
         m_opt = stop_cv(pairs, Z, family, control)
     else:
-        m_opt = stop_aic(path, pairs, Z, family)
-    survivors = deselect(
-        path,
-        m_opt,
-        control.gamma,
-        protect_intercept=control.protect_intercept,
-        through_m_opt=control.deselect_through_m_opt,
-    )
-    if m_opt > 0 and len(survivors) > 0:
-        refit = boost(pairs, Z, family, replace(control, m_stop=m_opt), selectable=survivors)
-        beta = refit.beta_at(m_opt)
-        final_risk = refit.risk[m_opt]
-        df = int(refit.active_size[m_opt])
-    else:
-        refit = None
-        beta = np.zeros(np.asarray(Z).shape[1])
-        final_risk = path.risk[0]
-        df = 0
-    n = len(np.asarray(pairs))
-    loglik = -n * final_risk
+        m_opt = stop_aic(path)
+    final, m_final = path, m_opt
+    survivors = refit_path = None
+    if refit:
+        survivors = deselect(
+            path,
+            m_opt,
+            control.gamma,
+            protect_intercept=control.protect_intercept,
+            through_m_opt=control.deselect_through_m_opt,
+        )
+        survivors = tuple(int(j) for j in survivors)
+        if m_opt > 0 and survivors:
+            refit_path = boost(pairs, Z, family, replace(control, m_stop=m_opt), selectable=survivors)
+            final = refit_path
+        else:
+            m_final = 0  # iteration 0 of a path is the all-zero model
+    beta = final.beta_at(m_final)
+    loglik = -path.n_obs * final.risk[m_final]
+    df = int(final.active_size[m_final])
     return FittedPairCopula(
         family=family,
         beta=beta,
@@ -364,37 +369,14 @@ def _fit_one(pairs, Z, family, control):
         aic=-2.0 * loglik + 2.0 * df,
         loglik=loglik,
         kept=_kept_from_beta(beta, path, control),
-        survivors=tuple(int(j) for j in survivors),
+        survivors=survivors,
         risk_path=path,
-        refit_path=refit,
-        n_obs=n,
+        refit_path=refit_path,
+        n_obs=path.n_obs,
     )
 
 
-def fit_plain(pairs, Z, family, control):
-    """Boosting with early stopping only (no deselection, no refit)."""
-    path = boost(pairs, Z, family, control)
-    if control.stopping == "cv":
-        m_opt = stop_cv(pairs, Z, family, control)
-    else:
-        m_opt = stop_aic(path, pairs, Z, family)
-    beta = path.beta_at(m_opt)
-    n = len(np.asarray(pairs))
-    loglik = -n * path.risk[m_opt]
-    df = int(path.active_size[m_opt])
-    return FittedPairCopula(
-        family=family,
-        beta=beta,
-        m_opt=int(m_opt),
-        aic=-2.0 * loglik + 2.0 * df,
-        loglik=loglik,
-        kept=_kept_from_beta(beta, path, control),
-        risk_path=path,
-        n_obs=n,
-    )
-
-
-def fit_pair(pairs, Z, families, control=None, criterion="aic", n_jobs=1):
+def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     """Fit candidate families and return the winner.
 
     ``criterion`` selects among candidates: "aic" (default), "loglik"
@@ -420,25 +402,13 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic", n_jobs=1):
     else:
         fit_pairs, fit_Z = pairs, Z
 
-    def run(family):
-        return _fit_one(fit_pairs, fit_Z, family, control)
-
     failures = {}
     fits = {}
-    if n_jobs > 1 and len(families) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = {family: pool.submit(run, family) for family in families}
-        for family, fut in futures.items():
-            try:
-                fits[family] = fut.result()
-            except (EvaluationError, FloatingPointError, ConfigurationError) as exc:
-                failures[family] = repr(exc)
-    else:
-        for family in families:
-            try:
-                fits[family] = run(family)
-            except (EvaluationError, FloatingPointError, ConfigurationError) as exc:
-                failures[family] = repr(exc)
+    for family in families:
+        try:
+            fits[family] = fit_family(fit_pairs, fit_Z, family, control)
+        except (EvaluationError, FloatingPointError, ConfigurationError) as exc:
+            failures[family] = repr(exc)
     if not fits:
         raise FitError("all candidate families failed", diagnostics=failures)
 
@@ -457,7 +427,7 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic", n_jobs=1):
         best = min(fits, key=lambda f: (scores[f], f.value))
 
     if criterion == "predictive_risk":
-        winner = _fit_one(pairs, Z, best, control)
+        winner = fit_family(pairs, Z, best, control)
     else:
         winner = fits[best]
     winner.selection_scores = {family.value: float(score) for family, score in scores.items()}

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -161,7 +160,6 @@ def cmd_fit(args):
         truncation_level=args.truncate,
         criterion=args.criterion,
         covariate_names=names,
-        n_jobs=args.threads,
     )
     model.to_json(args.out_model)
     with open(args.out_report, "w", encoding="utf-8", newline="") as fh:
@@ -367,7 +365,6 @@ def build_parser():
     p.add_argument("--criterion", choices=["aic", "loglik", "predictive_risk"], default="aic")
     p.add_argument("--truncate", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out-model", required=True, dest="out_model")
     p.add_argument("--out-report", required=True, dest="out_report")
     p.add_argument("--manifest", default=None)

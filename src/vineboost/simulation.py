@@ -236,7 +236,7 @@ def run_bicop_scenario(config):
         pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, link_tau(eta))])
         try:
             if config.mode == "specified":
-                fit = bst.fit_plain(pairs, Z[:, :6], family, config.control)
+                fit = bst.fit_family(pairs, Z[:, :6], family, config.control, refit=False)
                 beta_row = fit.beta
                 eta_hat = Z[:, :6] @ fit.beta
             else:

@@ -12,7 +12,6 @@ inverts it (inverse Rosenblatt transform).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,9 +172,12 @@ def validate_structure(structure):
     return violations
 
 
-def _is_tree(nodes, links):
-    if len(links) != len(nodes) - 1:
-        return False
+def _union_find(nodes):
+    """Disjoint sets over ``nodes``, one per node at first.
+
+    Returns ``union(a, b)``, which merges the sets holding a and b and
+    returns False when they were already the same set.
+    """
     parent = {n: n for n in nodes}
 
     def find(x):
@@ -184,12 +186,21 @@ def _is_tree(nodes, links):
             x = parent[x]
         return x
 
-    for a, b in links:
+    def union(a, b):
         ra, rb = find(a), find(b)
         if ra == rb:
             return False
         parent[ra] = rb
-    return True
+        return True
+
+    return union
+
+
+def _is_tree(nodes, links):
+    if len(links) != len(nodes) - 1:
+        return False
+    union = _union_find(nodes)
+    return all(union(a, b) for a, b in links)
 
 
 def _require_valid(structure):
@@ -213,6 +224,21 @@ def _clamp_unit(x):
 def _edge_h(model, which, ua, ub, Z):
     tau = predict_tau(model, Z)
     return _clamp_unit(hfunc(model.family, which, ua, ub, tau))
+
+
+def _propagate_tree(tree, prev, fit_of, pseudo, Z):
+    """Add the pseudo-observation pairs of ``tree``'s edges to ``pseudo``.
+
+    Each conditioned variable of an edge is the h-transform, at each row's
+    covariates, of its parent edge in ``prev`` (the tree below); ``fit_of``
+    maps those parent edges to their fitted copulas.
+    """
+    for e in tree:
+        pa = _parent_of(e.a, e, prev)
+        pb = _parent_of(e.b, e, prev)
+        ua = _edge_h(fit_of[pa], "1|2" if e.a == pa.a else "2|1", *pseudo[pa], Z)
+        ub = _edge_h(fit_of[pb], "1|2" if e.b == pb.a else "2|1", *pseudo[pb], Z)
+        pseudo[e] = (ua, ub)
 
 
 @dataclass
@@ -270,13 +296,7 @@ class ConditionalVineModel:
         for e in self.structure.trees[0]:
             pseudo[e] = (_clamp_unit(U[:, e.a]), _clamp_unit(U[:, e.b]))
         for t in range(1, levels):
-            prev = self.structure.trees[t - 1]
-            for e in self.structure.trees[t]:
-                pa = _parent_of(e.a, e, prev)
-                pb = _parent_of(e.b, e, prev)
-                ua = _edge_h(self._by_edge[pa], "1|2" if e.a == pa.a else "2|1", *pseudo[pa], Z)
-                ub = _edge_h(self._by_edge[pb], "1|2" if e.b == pb.a else "2|1", *pseudo[pb], Z)
-                pseudo[e] = (ua, ub)
+            _propagate_tree(self.structure.trees[t], self.structure.trees[t - 1], self._by_edge, pseudo, Z)
         return pseudo
 
     def pseudo_observations(self, U, Z):
@@ -494,16 +514,18 @@ def fit_vine(
     deselect=True,
     criterion="aic",
     covariate_names=None,
-    n_jobs=1,
 ):
     """Sequential top-down estimation of a conditional vine copula.
 
-    Tree-1 edges are fit on the raw columns; each deeper tree is fit on
-    pseudo-observations pushed through the parents' h-functions with the
-    per-observation tau implied by that row's covariates.  ``edge_families``
-    (a list of per-tree lists) pins one family per edge; ``deselect=False``
-    skips the deselection/refit stage (plain boosting with early stopping).
-    Fit errors are re-raised with the offending edge attached.
+    Edges are fit one at a time, tree by tree.  Tree-1 edges are fit on the
+    raw columns; each deeper tree is fit on pseudo-observations pushed
+    through the parents' h-functions with the per-observation tau implied
+    by that row's covariates.  ``edge_families`` (a list of per-tree lists)
+    pins one family per edge; ``deselect=False`` requires it and fits each
+    edge with ``fit_family(..., refit=False)`` (early stopping, no
+    deselection or refit).  An edge's fit error propagates as the same
+    exception object with the edge label prefixed to its message, so
+    ``FitError.diagnostics`` survives.
     """
     control = control or BoostControl()
     U = np.asarray(U, dtype=float)
@@ -523,43 +545,30 @@ def fit_vine(
             family = edge_families[t][i]
             if deselect:
                 return bst.fit_pair(pairs, Z, [family], control, criterion=criterion)
-            return bst.fit_plain(pairs, Z, family, control)
+            return bst.fit_family(pairs, Z, family, control, refit=False)
         if deselect:
             return bst.fit_pair(pairs, Z, families, control, criterion=criterion)
         raise ConfigurationError("deselect=False requires edge_families")
 
     models = []
+    fit_of = {}
     pseudo = {}
     for e in structure.trees[0]:
         pseudo[e] = (_clamp_unit(U[:, e.a]), _clamp_unit(U[:, e.b]))
-    for t in range(len(structure.trees)):
-        tree = structure.trees[t]
+    for t, tree in enumerate(structure.trees):
         if t >= levels:
             models.append([FittedPairCopula.independence(Z.shape[1]) for _ in tree])
             continue
         if t > 0:
-            prev = structure.trees[t - 1]
-            prev_fits = {e: fit for e, fit in zip(prev, models[t - 1])}
-            for e in tree:
-                pa = _parent_of(e.a, e, prev)
-                pb = _parent_of(e.b, e, prev)
-                ua = _edge_h(prev_fits[pa], "1|2" if e.a == pa.a else "2|1", *pseudo[pa], Z)
-                ub = _edge_h(prev_fits[pb], "1|2" if e.b == pb.a else "2|1", *pseudo[pb], Z)
-                pseudo[e] = (ua, ub)
-
-        def run(args):
-            i, e = args
+            _propagate_tree(tree, structure.trees[t - 1], fit_of, pseudo, Z)
+        for i, e in enumerate(tree):
             try:
-                return fit_edge(t, i, np.column_stack(pseudo[e]))
+                fit_of[e] = fit_edge(t, i, np.column_stack(pseudo[e]))
             except Exception as exc:
-                raise type(exc)(f"edge {e.label()}: {exc}") from exc
-
-        if n_jobs > 1 and len(tree) > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                fits = list(pool.map(run, enumerate(tree)))
-        else:
-            fits = [run(x) for x in enumerate(tree)]
-        models.append(fits)
+                head = f"edge {e.label()}"
+                exc.args = ((f"{head}: {exc.args[0]}",) + exc.args[1:]) if exc.args else (head,)
+                raise
+        models.append([fit_of[e] for e in tree])
 
     return ConditionalVineModel(
         structure=structure,
@@ -590,20 +599,10 @@ def truncate(model, level):
 
 def _kruskal_max(nodes, candidates):
     """Maximum spanning tree; candidates are (weight, key, payload) tuples."""
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    union = _union_find(nodes)
     chosen = []
     for weight, key, payload in sorted(candidates, key=lambda c: (-c[0], c[1])):
-        a, b = payload["nodes"]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        if union(*payload["nodes"]):
             chosen.append(payload)
         if len(chosen) == len(nodes) - 1:
             break

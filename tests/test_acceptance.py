@@ -151,7 +151,7 @@ def test_criterion_07_family_selection():
             tau = link_tau(true_eta(Z))
             w1, w2 = rng.random(2000), rng.random(2000)
             pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, tau)])
-            fit = bst.fit_pair(pairs, Z, FIT_FAMILIES, BoostControl(), n_jobs=5)
+            fit = bst.fit_pair(pairs, Z, FIT_FAMILIES, BoostControl())
             wins += fit.family == family
         rates[family.value] = wins / 20.0
     elapsed = time.perf_counter() - start

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,19 +127,19 @@ class TestStopping:
     def test_aic_is_bruteforce_argmin(self):
         pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 500, 11, 0.2, seed=8)
         path = B.boost(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl(m_stop=150))
-        m_opt = B.stop_aic(path, pairs, Z, CopulaFamily.GAUSSIAN)
+        m_opt = B.stop_aic(path)
         aic = 2.0 * 500 * path.risk + 2.0 * path.active_size
         assert m_opt == int(np.argmin(aic))
 
     def test_constant_risk_stops_at_zero(self):
         path = synthetic_path([1, 2, 3], [1.0, 1.0, 1.0, 1.0])
-        assert B.stop_aic(path, np.zeros((100, 2)), None, None) == 0
+        assert B.stop_aic(path) == 0
 
     def test_aic_tie_breaks_to_smallest_m(self):
         # strictly equal AIC at m = 1 and m = 2: same risk drop exactly offset by df
         risks = np.array([1.0, 1.0, 1.0, 1.0])
         path = synthetic_path([1, 1, 1], risks)
-        assert B.stop_aic(path, np.zeros((50, 2)), None, None) == 0
+        assert B.stop_aic(path) == 0
 
     def test_cv_identical_folds_degenerates_to_insample(self):
         # a fold identical to the training data reproduces the in-sample path,
@@ -166,7 +168,7 @@ class TestStopping:
         for seed in range(20):
             pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 500, 51, 0.2, seed=100 + seed)
             path = B.boost(pairs, Z, CopulaFamily.GAUSSIAN, control)
-            m_aic.append(B.stop_aic(path, pairs, Z, CopulaFamily.GAUSSIAN))
+            m_aic.append(B.stop_aic(path))
             m_cv.append(B.stop_cv(pairs, Z, CopulaFamily.GAUSSIAN, control))
         assert np.mean(m_aic) > np.mean(m_cv)
 
@@ -262,13 +264,24 @@ class TestFitPair:
         with pytest.raises(ConfigurationError):
             B.fit_pair(np.full((20, 2), 0.5), np.ones((20, 1)), [], BoostControl())
 
-    def test_thread_pool_matches_sequential(self):
-        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 400, 6, 0.2, seed=19)
-        control = BoostControl(m_stop=60)
-        seq = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control, n_jobs=1)
-        par = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control, n_jobs=4)
-        assert seq.family == par.family
-        np.testing.assert_array_equal(seq.beta, par.beta)
+    @pytest.mark.parametrize("stopping", ["aic", "cv"])
+    @pytest.mark.parametrize("dependent", [True, False])
+    def test_fit_family_refit_switch(self, stopping, dependent):
+        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 400, 11, 0.2, seed=19)
+        control = BoostControl(m_stop=100, stopping=stopping, cv_folds=5, seed=2)
+        if not dependent:
+            # independent data and a strict threshold: nothing survives deselection
+            pairs = np.random.default_rng(19).random(pairs.shape)
+            control = replace(control, gamma=0.9, protect_intercept=False)
+        plain = B.fit_family(pairs, Z, CopulaFamily.GAUSSIAN, control, refit=False)
+        np.testing.assert_array_equal(plain.beta, plain.risk_path.beta_at(plain.m_opt))
+        assert plain.survivors is None and plain.refit_path is None
+        full = B.fit_family(pairs, Z, CopulaFamily.GAUSSIAN, control)
+        assert (full.survivors != ()) == dependent
+        assert np.any(full.beta != 0.0) == dependent
+        pair = B.fit_pair(pairs, Z, [CopulaFamily.GAUSSIAN], control)
+        np.testing.assert_array_equal(full.beta, pair.beta)
+        assert (full.m_opt, full.kept, full.aic) == (pair.m_opt, pair.kept, pair.aic)
 
     def test_full_determinism(self):
         pairs, Z = simulate_pair_data(CopulaFamily.GUMBEL_II, 400, 11, 0.2, seed=20)

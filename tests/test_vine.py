@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import kendalltau, kstest, qmc, rankdata
 
 from vineboost.boosting import BoostControl, fit_pair, predict_tau
-from vineboost.errors import ConfigurationError, InterfaceError, StructureError
+from vineboost.errors import ConfigurationError, FitError, InterfaceError, StructureError
 from vineboost.families import CopulaFamily, FIT_FAMILIES, sample_pair
 from vineboost.simulation import benchmark_rvine_structure
 from vineboost.vine import (
@@ -85,6 +85,14 @@ class TestFitVine:
         bad = VineStructure.from_edges(3, [[VineEdge(0, 1)], [VineEdge(0, 2, (1,))]])
         with pytest.raises(StructureError):
             fit_vine(np.random.rand(50, 3), np.ones((50, 1)), bad, FIT_FAMILIES)
+
+    def test_edge_failure_keeps_exception_and_diagnostics(self):
+        # an all-zero covariate leaves nothing selectable, so every family fails
+        rng = np.random.default_rng(0)
+        with pytest.raises(FitError, match=r"^edge 0,1: all candidate families failed$") as info:
+            fit_vine(rng.random((200, 3)), np.zeros((200, 1)), dvine_structure(range(3)), FIT_FAMILIES,
+                     BoostControl(m_stop=10))
+        assert set(info.value.diagnostics) == set(FIT_FAMILIES)
 
     def test_truncation_skips_fitting(self):
         rng = np.random.default_rng(2)
@@ -338,19 +346,3 @@ class TestTruncateAndSerialize:
         assert full - level2 < 0.01  # truncation costs almost nothing
         level1 = truncate(model, 1).log_density(U, Z).mean()
         assert full - level1 > 0.02  # dropping tree 2 is visibly worse
-
-
-class TestConcurrency:
-    def test_fit_vine_thread_parity(self):
-        rng = np.random.default_rng(25)
-        st = dvine_structure(range(3))
-        truth = constant_tau_model(st, [CopulaFamily.GAUSSIAN] * 3, [0.5, 0.4, 0.2])
-        Z = np.ones((500, 1))
-        U = truth.sample(Z, seed=26)
-        control = BoostControl(m_stop=60)
-        seq = fit_vine(U, Z, st, [CopulaFamily.GAUSSIAN, CopulaFamily.GUMBEL_I], control, n_jobs=1)
-        par = fit_vine(U, Z, st, [CopulaFamily.GAUSSIAN, CopulaFamily.GUMBEL_I], control, n_jobs=4)
-        for fs, fp in zip(seq.models, par.models):
-            for a, b in zip(fs, fp):
-                assert a.family == b.family
-                np.testing.assert_array_equal(a.beta, b.beta)
