@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FitError, InterfaceError
-from .families import CopulaFamily, link_tau, log_density, loss_gradient
+from .families import CopulaFamily, _require_finite, link_tau, log_density, prepare
 
 __all__ = [
     "BoostControl",
@@ -108,6 +108,19 @@ class BoostPath:
         return beta
 
 
+def _checked_data(pairs, Z):
+    """``pairs`` and ``Z`` as float arrays, checked for shape and finiteness."""
+    pairs = np.asarray(pairs, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InterfaceError("pairs must be an (N, 2) array")
+    if Z.ndim != 2 or Z.shape[0] != pairs.shape[0]:
+        raise InterfaceError("Z must be an (N, p+1) array aligned with pairs")
+    _require_finite("pairs", pairs)
+    _require_finite("Z", Z)
+    return pairs, Z
+
+
 def _standardize(Z):
     Z = np.asarray(Z, dtype=float)
     n, p = Z.shape
@@ -132,14 +145,9 @@ def boost(pairs, Z, family, control, selectable=None):
     picked; degenerate (zero-variance) columns are never selectable and are
     flagged on the returned path rather than raising.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InterfaceError("pairs must be an (N, 2) array")
-    if Z.ndim != 2 or Z.shape[0] != pairs.shape[0]:
-        raise InterfaceError("Z must be an (N, p+1) array aligned with pairs")
+    pairs, Z = _checked_data(pairs, Z)
+    kernel = prepare(family, pairs[:, 0], pairs[:, 1])
     n, p1 = Z.shape
-    u1, u2 = pairs[:, 0], pairs[:, 1]
 
     Zs, mu, sigma, has_intercept, degenerate = _standardize(Z)
     mask = ~degenerate
@@ -160,20 +168,29 @@ def boost(pairs, Z, family, control, selectable=None):
     active = np.zeros(m_stop + 1, dtype=np.int64)
 
     beta_std = np.zeros(p1)
+    n_active = 0
     eta = np.zeros(n)
-    risk[0] = -np.mean(log_density(family, u1, u2, link_tau(eta)))
+    # One kernel evaluation per iteration: the log density at eta gives
+    # risk[m], the gradient at the same eta drives step m + 1.
+    logpdf, g = kernel.value_and_grad(eta)
+    risk[0] = -np.mean(logpdf)
     for m in range(1, m_stop + 1):
-        g = loss_gradient(family, u1, u2, eta)
         numer = Zs.T @ g
         score = np.where(mask, numer * numer / colsq_safe, -np.inf)
         j = int(np.argmax(score))
         step = control.nu * numer[j] / colsq_safe[j]
+        was_active = beta_std[j] != 0.0
         beta_std[j] += step
+        n_active += int(beta_std[j] != 0.0) - int(was_active)
         eta += step * Zs[:, j]
         selected[m - 1] = j
         increments[m - 1] = step
-        risk[m] = -np.mean(log_density(family, u1, u2, link_tau(eta)))
-        active[m] = int(np.count_nonzero(beta_std))
+        if m < m_stop:
+            logpdf, g = kernel.value_and_grad(eta)
+        else:
+            logpdf = kernel.log_density(eta)
+        risk[m] = -np.mean(logpdf)
+        active[m] = n_active
 
     return BoostPath(
         family=family,
@@ -203,23 +220,23 @@ def _holdout_risk_path(path, pairs, Z):
     """Held-out mean negative log likelihood after each iteration."""
     pairs = np.asarray(pairs, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    u1, u2 = pairs[:, 0], pairs[:, 1]
+    kernel = prepare(path.family, pairs[:, 0], pairs[:, 1])
     Zs = (Z - path.mu) / path.sigma
     if path.has_intercept:
         Zs[:, 0] = 1.0
     eta = np.zeros(len(pairs))
     out = np.zeros(path.m_stop + 1)
-    out[0] = -np.mean(log_density(path.family, u1, u2, link_tau(eta)))
+    out[0] = -np.mean(kernel.log_density(eta))
     for m in range(1, path.m_stop + 1):
         eta += path.increments[m - 1] * Zs[:, path.selected[m - 1]]
-        out[m] = -np.mean(log_density(path.family, u1, u2, link_tau(eta)))
+        out[m] = -np.mean(kernel.log_density(eta))
     return out
 
 
 def stop_cv(pairs, Z, family, control):
     """Optimal iteration count by seeded K-fold cross-validation."""
-    pairs = np.asarray(pairs, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    # Checked here as well as per fold, so that errors name rows of the input.
+    pairs, Z = _checked_data(pairs, Z)
     n = len(pairs)
     k = control.cv_folds
     rng = np.random.default_rng(control.seed)
@@ -392,8 +409,8 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     if criterion not in ("aic", "loglik", "predictive_risk"):
         raise ConfigurationError(f"unknown selection criterion {criterion!r}")
 
-    pairs = np.asarray(pairs, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    # The holdout rows of "predictive_risk" are never boosted on; check all.
+    pairs, Z = _checked_data(pairs, Z)
     if criterion == "predictive_risk":
         split = int(round(0.75 * len(pairs)))
         if split < 1 or split >= len(pairs):

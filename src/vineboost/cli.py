@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -62,11 +63,17 @@ def read_csv_matrix(path, expect_columns=None):
             vals = []
             for j, item in enumerate(row):
                 try:
-                    vals.append(float(item))
+                    val = float(item)
                 except ValueError:
                     raise InterfaceError(
                         f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not numeric"
                     )
+                # float() also parses nan and inf
+                if not math.isfinite(val):
+                    raise InterfaceError(
+                        f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not finite"
+                    )
+                vals.append(val)
             rows.append(vals)
     if not rows:
         raise InterfaceError(f"{path}: no data rows")
@@ -250,11 +257,18 @@ def _read_forecasts(path):
 def _read_observations(path, d):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "time" or len(header) != d + 1:
-            raise InterfaceError(f"{path}: expected header time,<{d} dims>")
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InterfaceError(f"{path}:1: empty file, expected a header row")
+        if header[:1] != ["time"] or len(header) != d + 1:
+            raise InterfaceError(f"{path}:1: expected header time,<{d} dims>")
         obs = {}
         for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
+            if row[0] in obs:
+                raise InterfaceError(f"{path}:{ln}: duplicate time {row[0]!r}")
             try:
                 obs[row[0]] = np.asarray([float(x) for x in row[1:]])
             except ValueError:

@@ -11,16 +11,22 @@ Every operation -- parameter transforms, log density, the h-functions and
 their inverses, the boosting loss gradient and the pair sampler -- is
 elementwise in ``(u1, u2, tau)`` and accepts scalars or broadcastable numpy
 arrays.  All functions are pure; samplers take an explicit seed.
+
+For boosting, :func:`prepare` computes the data-only terms of one family
+on fixed data once; the returned :class:`PairKernel` then evaluates the log
+density and the loss gradient at each new linear predictor together.  The
+elementwise functions stay the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, InterfaceError
 
 __all__ = [
     "CopulaFamily",
@@ -32,6 +38,8 @@ __all__ = [
     "link_tau",
     "log_density",
     "loss_gradient",
+    "PairKernel",
+    "prepare",
     "hfunc",
     "hinv",
     "sample_pair",
@@ -95,12 +103,22 @@ def _check_tau(tau):
     return tau
 
 
+def _require_finite(name, x):
+    """Raise :class:`InterfaceError` at the first non-finite entry of a 2-D input."""
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), x.shape)
+        raise InterfaceError(f"{name} row {i}, column {j} is not finite ({x[i, j]})")
+
+
 def _check_finite(name, out, where_args=()):
-    bad = ~np.isfinite(np.asarray(out))
-    if np.any(bad):
-        idx = np.unravel_index(np.argmax(bad), np.asarray(out).shape)
-        point = tuple(float(np.broadcast_to(a, np.asarray(out).shape)[idx]) for a in where_args)
-        raise EvaluationError(f"{name} produced a non-finite value at {point}")
+    finite = np.isfinite(out)
+    if finite.all():
+        return
+    idx = np.unravel_index(np.argmin(finite), finite.shape)
+    point = tuple(float(np.broadcast_to(a, finite.shape)[idx]) for a in where_args)
+    raise EvaluationError(f"{name} produced a non-finite value at {point}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +171,22 @@ def theta_to_tau(family, theta):
     return _scalarize(tau)
 
 
-def link_tau(eta):
-    """Fisher link from the linear predictor to Kendall's tau, clamped."""
+def _check_eta(eta):
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
         raise DomainError("linear predictor must be finite")
-    return _scalarize(np.clip(np.tanh(eta), -TAU_CLAMP, TAU_CLAMP))
+    return eta
+
+
+def _tanh_link(eta):
+    # Unclamped tanh(eta) (it decides where the clamp is active) and tau.
+    tau_raw = np.tanh(eta)
+    return tau_raw, np.clip(tau_raw, -TAU_CLAMP, TAU_CLAMP)
+
+
+def link_tau(eta):
+    """Fisher link from the linear predictor to Kendall's tau, clamped."""
+    return _scalarize(_tanh_link(_check_eta(eta))[1])
 
 
 def _base_theta(family, tau):
@@ -189,22 +217,36 @@ def _theta_prime(family, tau):
 
 # ---------------------------------------------------------------------------
 # Base-family building blocks (theta in the positive/base parameter space)
+#
+# The log density and the score of a base copula are split into three steps
+# so that boosting can keep the data-only part fixed across iterations:
+# ``*_terms(u, v)`` depends on the data alone, ``*_parts(terms, theta)``
+# computes the intermediates the log density and the score share, and
+# ``*_logpdf``/``*_score`` finish from both.
 # ---------------------------------------------------------------------------
 
 
-def _gauss_logpdf(u, v, theta):
+def _gauss_terms(u, v):
     x = ndtri(u)
     y = ndtri(v)
+    return x * x + y * y, x * y
+
+
+def _gauss_parts(terms, theta):
     r2 = theta * theta
-    d = 1.0 - r2
-    return -0.5 * np.log1p(-r2) - (r2 * (x * x + y * y) - 2.0 * theta * x * y) / (2.0 * d)
+    return r2, 1.0 - r2
 
 
-def _gauss_score(u, v, theta):
-    x = ndtri(u)
-    y = ndtri(v)
-    d = 1.0 - theta * theta
-    return theta / d + (x * y * (1.0 + theta * theta) - theta * (x * x + y * y)) / (d * d)
+def _gauss_logpdf(terms, theta, parts):
+    ss, xy = terms
+    r2, d = parts
+    return -0.5 * np.log1p(-r2) - (r2 * ss - 2.0 * theta * xy) / (2.0 * d)
+
+
+def _gauss_score(terms, theta, parts):
+    ss, xy = terms
+    r2, d = parts
+    return theta / d + (xy * (1.0 + r2) - theta * ss) / (d * d)
 
 
 def _gauss_h_2g1(u, v, theta):
@@ -226,55 +268,45 @@ def _gauss_hinv_1g2(w, v, theta):
     return _gauss_hinv_2g1(w, v, theta)
 
 
+def _clayton_terms(u, v):
+    return np.log(u), np.log(v)
+
+
 def _clayton_logS(lu, lv, theta):
     # S = u^-t + v^-t - 1 >= 1; evaluated in logs to survive theta*|log u| ~ 650.
+    # Both branches are computed on every element (cheaper than masking);
+    # expm1 stays finite because theta <= 28 and |log u| <= -log(U_EPS).
     a = -theta * lu
     b = -theta * lv
     m = np.maximum(a, b)
-    small = m < 1.0
-    out = np.empty_like(m)
-    if np.any(small):
-        out[small] = np.log1p(np.expm1(a[small]) + np.expm1(b[small]))
-    big = ~small
-    if np.any(big):
-        mb = m[big]
-        out[big] = mb + np.log(np.exp(a[big] - mb) + np.exp(b[big] - mb) - np.exp(-mb))
-    return out
+    small = np.log1p(np.expm1(a) + np.expm1(b))
+    big = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+    return np.where(m < 1.0, small, big)
 
 
-def _clayton_logpdf(u, v, theta):
-    theta, lu, lv = np.broadcast_arrays(theta, np.log(u), np.log(v))
-    out = np.zeros_like(lu)
-    live = theta >= _CLAYTON_THETA_TINY
-    if np.any(live):
-        t, a, b = theta[live], lu[live], lv[live]
-        logS = _clayton_logS(a, b, t)
-        out[live] = np.log1p(t) - (t + 1.0) * (a + b) - (1.0 / t + 2.0) * logS
-    return out
-
-
-def _clayton_score(u, v, theta):
-    theta, lu, lv = np.broadcast_arrays(theta, np.log(u), np.log(v))
-    out = np.empty_like(lu)
+def _clayton_parts(terms, theta):
+    # Rows below the tiny-theta threshold take the independence limits; they
+    # are evaluated at theta = 1 so no division by zero occurs.
     tiny = theta < _CLAYTON_THETA_TINY
-    if np.any(tiny):
-        a, b = lu[tiny], lv[tiny]
-        # Limit of d log c / d theta as theta -> 0.
-        out[tiny] = 1.0 + a + b + a * b
-    live = ~tiny
-    if np.any(live):
-        t, a, b = theta[live], lu[live], lv[live]
-        logS = _clayton_logS(a, b, t)
-        wa = np.exp(-t * a - logS)
-        wb = np.exp(-t * b - logS)
-        dS_over_S = -a * wa - b * wb
-        out[live] = (
-            1.0 / (1.0 + t)
-            - (a + b)
-            + logS / (t * t)
-            - (1.0 / t + 2.0) * dS_over_S
-        )
-    return out
+    t = np.where(tiny, 1.0, theta)
+    return tiny, t, _clayton_logS(*terms, t)
+
+
+def _clayton_logpdf(terms, theta, parts):
+    lu, lv = terms
+    tiny, t, logS = parts
+    return np.where(tiny, 0.0, np.log1p(t) - (t + 1.0) * (lu + lv) - (1.0 / t + 2.0) * logS)
+
+
+def _clayton_score(terms, theta, parts):
+    lu, lv = terms
+    tiny, t, logS = parts
+    wa = np.exp(-t * lu - logS)
+    wb = np.exp(-t * lv - logS)
+    dS_over_S = -lu * wa - lv * wb
+    live = 1.0 / (1.0 + t) - (lu + lv) + logS / (t * t) - (1.0 / t + 2.0) * dS_over_S
+    # Limit of d log c / d theta as theta -> 0.
+    return np.where(tiny, 1.0 + lu + lv + lu * lv, live)
 
 
 def _clayton_h_2g1(u, v, theta):
@@ -327,18 +359,21 @@ def _log_expm1(d):
     return out
 
 
-def _gumbel_parts(u, v, theta):
+def _gumbel_terms(u, v):
     x = -np.log(u)
     y = -np.log(v)
-    lx = np.log(x)
-    ly = np.log(y)
+    return x, y, np.log(x), np.log(y)
+
+
+def _gumbel_parts(terms, theta):
+    _, _, lx, ly = terms
     logS = np.logaddexp(theta * lx, theta * ly)
-    T = np.exp(logS / theta)
-    return x, y, lx, ly, logS, T
+    return logS, np.exp(logS / theta)
 
 
-def _gumbel_logpdf(u, v, theta):
-    x, y, lx, ly, logS, T = _gumbel_parts(u, v, theta)
+def _gumbel_logpdf(terms, theta, parts):
+    x, y, lx, ly = terms
+    logS, T = parts
     return (
         -T
         + (theta - 1.0) * (lx + ly)
@@ -348,8 +383,9 @@ def _gumbel_logpdf(u, v, theta):
     )
 
 
-def _gumbel_score(u, v, theta):
-    x, y, lx, ly, logS, T = _gumbel_parts(u, v, theta)
+def _gumbel_score(terms, theta, parts):
+    _, _, lx, ly = terms
+    logS, T = parts
     wa = np.exp(theta * lx - logS)
     wb = np.exp(theta * ly - logS)
     q = wa * lx + wb * ly  # d log S / d theta
@@ -364,7 +400,9 @@ def _gumbel_score(u, v, theta):
 
 
 def _gumbel_h_2g1(u, v, theta):
-    x, y, lx, ly, logS, T = _gumbel_parts(u, v, theta)
+    terms = _gumbel_terms(u, v)
+    x, _, lx, _ = terms
+    logS, T = _gumbel_parts(terms, theta)
     return np.exp(-T + (1.0 / theta - 1.0) * logS + (theta - 1.0) * lx + x)
 
 
@@ -410,8 +448,23 @@ def _gumbel_hinv_1g2(w, v, theta):
     return _gumbel_hinv_2g1(w, v, theta)
 
 
+class _Base(NamedTuple):
+    """The building blocks of one unrotated base copula."""
+
+    terms: Callable
+    parts: Callable
+    logpdf: Callable
+    score: Callable
+    h_1g2: Callable
+    h_2g1: Callable
+    hinv_1g2: Callable
+    hinv_2g1: Callable
+
+
 _BASE = {
-    CopulaFamily.GAUSSIAN: (
+    CopulaFamily.GAUSSIAN: _Base(
+        _gauss_terms,
+        _gauss_parts,
         _gauss_logpdf,
         _gauss_score,
         _gauss_h_1g2,
@@ -419,7 +472,9 @@ _BASE = {
         _gauss_hinv_1g2,
         _gauss_hinv_2g1,
     ),
-    CopulaFamily.CLAYTON_I: (
+    CopulaFamily.CLAYTON_I: _Base(
+        _clayton_terms,
+        _clayton_parts,
         _clayton_logpdf,
         _clayton_score,
         _clayton_h_1g2,
@@ -427,7 +482,9 @@ _BASE = {
         _clayton_hinv_1g2,
         _clayton_hinv_2g1,
     ),
-    CopulaFamily.GUMBEL_I: (
+    CopulaFamily.GUMBEL_I: _Base(
+        _gumbel_terms,
+        _gumbel_parts,
         _gumbel_logpdf,
         _gumbel_score,
         _gumbel_h_1g2,
@@ -450,11 +507,36 @@ def _rotation(family, tau):
     return np.where(neg, 90, 0)
 
 
-def _rotate_coords(rot, u1, u2):
-    # Coordinates of the base copula that realize the rotated density.
-    a = np.where(rot == 0, u1, np.where(rot == 90, u2, np.where(rot == 180, 1.0 - u1, 1.0 - u2)))
-    b = np.where(rot == 0, u2, np.where(rot == 90, 1.0 - u1, np.where(rot == 180, 1.0 - u2, u1)))
-    return a, b
+def _branches(family, u1, u2):
+    """Base-copula coordinates that realize the rotated density.
+
+    Returns the pair for tau >= 0 and the pair for tau < 0; the second is
+    ``None`` for the Gaussian, which needs no rotation.
+    """
+    if family == CopulaFamily.GAUSSIAN:
+        return (u1, u2), None
+    if family in _SURVIVALS:
+        return (1.0 - u1, 1.0 - u2), (1.0 - u2, u1)
+    return (u1, u2), (u2, 1.0 - u1)
+
+
+def _pick(neg, pos, negative):
+    """Per-element choice between two tuples of arrays by the sign of tau."""
+    if negative is None or not neg.any():
+        return pos
+    if neg.all():
+        return negative
+    return tuple(np.where(neg, b, a) for a, b in zip(pos, negative))
+
+
+def _neg_gradient(family, terms, theta, parts, neg, tau_raw, tau):
+    """-d loss / d eta: the score chained through theta(tau) and tau(eta)."""
+    dtheta_dtau = _theta_prime(family, tau)
+    if family != CopulaFamily.GAUSSIAN:
+        # theta is a function of |tau|; rotation flips the sign for tau < 0.
+        dtheta_dtau = np.where(neg, -dtheta_dtau, dtheta_dtau)
+    dtau_deta = np.where(np.abs(tau_raw) >= TAU_CLAMP, 0.0, 1.0 - tau_raw * tau_raw)
+    return _BASE[family].score(terms, theta, parts) * dtheta_dtau * dtau_deta
 
 
 def log_density(family, u1, u2, tau):
@@ -470,10 +552,10 @@ def log_density(family, u1, u2, tau):
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
-    rot = _rotation(family, tau)
-    a, b = _rotate_coords(rot, u1, u2)
+    base = _BASE[family]
+    terms = base.terms(*_pick(tau < 0.0, *_branches(family, u1, u2)))
     theta = _base_theta(family, tau)
-    out = _BASE[family][0](a, b, theta)
+    out = base.logpdf(terms, theta, base.parts(terms, theta))
     _check_finite("log_density", out, (u1, u2, tau))
     return _scalarize(out)
 
@@ -486,29 +568,86 @@ def loss_gradient(family, u1, u2, eta):
     componentwise base learners.  It is zero wherever the tau clamp or the
     parameter cap is active.
     """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
-        raise DomainError("linear predictor must be finite")
+    eta = _check_eta(eta)
     if family == CopulaFamily.INDEPENDENCE:
         return _scalarize(np.zeros(np.broadcast(np.asarray(u1), np.asarray(u2), eta).shape))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    tau_raw = np.tanh(eta)
-    clamped = np.abs(tau_raw) >= TAU_CLAMP
-    tau = np.clip(tau_raw, -TAU_CLAMP, TAU_CLAMP)
-    u1, u2, tau, eta, clamped = np.broadcast_arrays(u1, u2, tau, eta, clamped)
-    rot = _rotation(family, tau)
-    a, b = _rotate_coords(rot, u1, u2)
+    tau_raw, tau = _tanh_link(eta)
+    u1, u2, tau_raw, tau, eta = np.broadcast_arrays(u1, u2, tau_raw, tau, eta)
+    neg = tau < 0.0
+    base = _BASE[family]
+    terms = base.terms(*_pick(neg, *_branches(family, u1, u2)))
     theta = _base_theta(family, tau)
-    score = _BASE[family][1](a, b, theta)
-    dtheta_dtau = _theta_prime(family, tau)
-    if family != CopulaFamily.GAUSSIAN:
-        # theta is a function of |tau|; rotation flips the sign for tau < 0.
-        dtheta_dtau = np.where(tau < 0.0, -dtheta_dtau, dtheta_dtau)
-    dtau_deta = np.where(clamped, 0.0, 1.0 - np.tanh(eta) ** 2)
-    out = score * dtheta_dtau * dtau_deta
+    out = _neg_gradient(family, terms, theta, base.parts(terms, theta), neg, tau_raw, tau)
     _check_finite("loss_gradient", out, (u1, u2, eta))
     return _scalarize(out)
+
+
+class PairKernel:
+    """The boosting loss of one family on fixed copula data.
+
+    Made by :func:`prepare`, which computes the data-only terms of both
+    rotation branches once; each evaluation at a linear predictor then costs
+    only the parameter-dependent part.  :meth:`value_and_grad` returns
+    ``log_density(family, u1, u2, link_tau(eta))`` and
+    ``loss_gradient(family, u1, u2, eta)`` from shared intermediates, with
+    the same checks.
+    """
+
+    def __init__(self, family, u1, u2, pos, negative):
+        self.family = family
+        self.u1 = u1
+        self.u2 = u2
+        self._pos = pos
+        self._neg = negative
+
+    def log_density(self, eta):
+        """Per-row log density at tau = link_tau(eta)."""
+        return self._evaluate(eta, gradient=False)[0]
+
+    def value_and_grad(self, eta):
+        """Per-row log density and negative loss gradient at eta."""
+        return self._evaluate(eta, gradient=True)
+
+    def _evaluate(self, eta, gradient):
+        eta = _check_eta(eta)
+        family = self.family
+        if family == CopulaFamily.INDEPENDENCE:
+            zero = np.zeros(eta.shape)
+            return zero, zero
+        tau_raw, tau = _tanh_link(eta)
+        neg = tau < 0.0
+        base = _BASE[family]
+        terms = _pick(neg, self._pos, self._neg)
+        theta = _base_theta(family, tau)
+        parts = base.parts(terms, theta)
+        logpdf = base.logpdf(terms, theta, parts)
+        _check_finite("log_density", logpdf, (self.u1, self.u2, tau))
+        if not gradient:
+            return logpdf, None
+        grad = _neg_gradient(family, terms, theta, parts, neg, tau_raw, tau)
+        _check_finite("loss_gradient", grad, (self.u1, self.u2, eta))
+        return logpdf, grad
+
+
+def prepare(family, u1, u2):
+    """A :class:`PairKernel` for ``family`` on the copula data (u1, u2).
+
+    ``u1`` and ``u2`` are the two columns of an (N, 2) pairs array; a
+    non-finite entry raises :class:`InterfaceError` naming its row and
+    column.  Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.
+    """
+    _require_finite("pairs", np.column_stack([u1, u2]))
+    u1 = _clamp_u(u1)
+    u2 = _clamp_u(u2)
+    if family == CopulaFamily.INDEPENDENCE:
+        return PairKernel(family, u1, u2, None, None)
+    terms = _BASE[family].terms
+    pos, negative = _branches(family, u1, u2)
+    return PairKernel(
+        family, u1, u2, terms(*pos), None if negative is None else terms(*negative)
+    )
 
 
 def hfunc(family, which, u1, u2, tau):
@@ -527,7 +666,7 @@ def hfunc(family, which, u1, u2, tau):
     u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
     rot = _rotation(family, tau)
     theta = _base_theta(family, tau)
-    h_1g2, h_2g1 = _BASE[family][2], _BASE[family][3]
+    h_1g2, h_2g1 = _BASE[family].h_1g2, _BASE[family].h_2g1
     out = np.empty_like(u1)
     for code in np.unique(rot):
         m = rot == code
@@ -575,7 +714,7 @@ def hinv(family, which, w, u_cond, tau):
     w, uc, tau = np.broadcast_arrays(w, uc, tau)
     rot = _rotation(family, tau)
     theta = _base_theta(family, tau)
-    hinv_1g2, hinv_2g1 = _BASE[family][4], _BASE[family][5]
+    hinv_1g2, hinv_2g1 = _BASE[family].hinv_1g2, _BASE[family].hinv_2g1
     out = np.empty_like(w)
     for code in np.unique(rot):
         m = rot == code

@@ -123,6 +123,101 @@ class TestBoost:
             B.boost(np.full((10, 2), 0.5), np.ones((9, 2)), CopulaFamily.GAUSSIAN, BoostControl())
 
 
+def reference_boost(pairs, Z, family, control, selectable=None):
+    """The boosting loop on the elementwise functions, as the fused path's reference."""
+    u1, u2 = pairs[:, 0], pairs[:, 1]
+    n, p1 = Z.shape
+    Zs, mu, sigma, has_intercept, degenerate = B._standardize(Z)
+    mask = ~degenerate
+    if selectable is not None:
+        sel = np.zeros(p1, dtype=bool)
+        sel[np.asarray(selectable, dtype=int)] = True
+        mask &= sel
+    colsq = np.einsum("ij,ij->j", Zs, Zs)
+    colsq_safe = np.where(colsq < B._DEGENERATE_TOL, 1.0, colsq)
+    m_stop = control.m_stop
+    selected = np.zeros(m_stop, dtype=np.int64)
+    risk = np.zeros(m_stop + 1)
+    active = np.zeros(m_stop + 1, dtype=np.int64)
+    beta_std = np.zeros(p1)
+    eta = np.zeros(n)
+    risk[0] = -np.mean(F.log_density(family, u1, u2, F.link_tau(eta)))
+    for m in range(1, m_stop + 1):
+        g = F.loss_gradient(family, u1, u2, eta)
+        numer = Zs.T @ g
+        score = np.where(mask, numer * numer / colsq_safe, -np.inf)
+        j = int(np.argmax(score))
+        step = control.nu * numer[j] / colsq_safe[j]
+        beta_std[j] += step
+        eta += step * Zs[:, j]
+        selected[m - 1] = j
+        risk[m] = -np.mean(F.log_density(family, u1, u2, F.link_tau(eta)))
+        active[m] = int(np.count_nonzero(beta_std))
+    return selected, risk, active
+
+
+class TestFusedPath:
+    @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
+    @pytest.mark.parametrize("selectable", [None, (0, 2, 4, 7)])
+    def test_boost_matches_reference_loop(self, fam, selectable):
+        # negative intercept and slopes make tau change sign across rows
+        beta = np.array([-0.1, -0.4, 0.3, 0.6, 0.5, -0.4])
+        pairs, Z = simulate_pair_data(fam, 300, 21, 0.3, seed=31, beta=beta)
+        control = BoostControl(m_stop=150, nu=0.3)
+        path = B.boost(pairs, Z, fam, control, selectable=selectable)
+        selected, risk, active = reference_boost(pairs, Z, fam, control, selectable)
+        np.testing.assert_array_equal(path.selected, selected)
+        np.testing.assert_array_equal(path.active_size, active)
+        np.testing.assert_allclose(path.risk, risk, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
+    def test_holdout_risk_is_summed_log_density(self, fam):
+        pairs, Z = simulate_pair_data(fam, 300, 11, 0.3, seed=32)
+        train, fold = np.arange(240), np.arange(240, 300)
+        path = B.boost(pairs[train], Z[train], fam, BoostControl(m_stop=60, nu=0.3))
+        held = B._holdout_risk_path(path, pairs[fold], Z[fold])
+        u1, u2 = pairs[fold, 0], pairs[fold, 1]
+        for m in range(path.m_stop + 1):
+            Zs = (Z[fold] - path.mu) / path.sigma
+            Zs[:, 0] = 1.0
+            eta = Zs @ path.beta_std_at(m)
+            total = np.sum(F.log_density(fam, u1, u2, F.link_tau(eta)))
+            assert held[m] == pytest.approx(-total / len(fold), rel=1e-12)
+
+
+class TestNonFiniteInput:
+    def data(self):
+        return simulate_pair_data(CopulaFamily.GAUSSIAN, 200, 6, 0.2, seed=33)
+
+    def test_nan_pair_is_one_interface_error(self):
+        pairs, Z = self.data()
+        pairs[17, 1] = np.nan
+        with pytest.raises(InterfaceError, match="pairs row 17, column 1"):
+            B.fit_pair(pairs, Z, F.FIT_FAMILIES, BoostControl(m_stop=20))
+
+    def test_nan_in_predictive_risk_holdout(self):
+        pairs, Z = self.data()
+        pairs[190, 0] = np.nan
+        with pytest.raises(InterfaceError, match="pairs row 190, column 0"):
+            B.fit_pair(pairs, Z, [CopulaFamily.GAUSSIAN], BoostControl(m_stop=20),
+                       criterion="predictive_risk")
+
+    def test_inf_covariate(self):
+        pairs, Z = self.data()
+        Z[5, 3] = np.inf
+        with pytest.raises(InterfaceError, match="Z row 5, column 3"):
+            B.boost(pairs, Z, CopulaFamily.CLAYTON_I, BoostControl(m_stop=20))
+        with pytest.raises(InterfaceError, match="Z row 5, column 3"):
+            B.stop_cv(pairs, Z, CopulaFamily.CLAYTON_I, BoostControl(m_stop=20, cv_folds=5))
+
+    def test_values_at_zero_and_one_are_clamped(self):
+        pairs, Z = self.data()
+        pairs[0] = [0.0, 1.0]
+        pairs[1] = [1.0, 1.0]
+        fit = B.fit_pair(pairs, Z, F.FIT_FAMILIES, BoostControl(m_stop=20))
+        assert np.isfinite(fit.loglik)
+
+
 class TestStopping:
     def test_aic_is_bruteforce_argmin(self):
         pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 500, 11, 0.2, seed=8)

@@ -286,3 +286,46 @@ class TestManifest:
         assert len(manifest["outputs"]) == 2
         for digest in manifest["outputs"].values():
             assert len(digest) == 64
+
+
+# One row per malformed input: (command, file to corrupt, its contents, bad line).
+GOOD_DATA = "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,0.1,0.3\n0.4,0.9,0.6\n"
+GOOD_COVARIATES = "z1\n0.1\n-0.4\n1.2\n0.3\n"
+GOOD_FORECASTS = "time,method,member,y1,y2\n" + "".join(
+    f"{t},m1,{k},{0.1 * k},{0.2 * t}\n" for t in range(2) for k in range(3)
+)
+GOOD_OBSERVATIONS = "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n"
+MALFORMED = [
+    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\nnan,0.6,0.7\n0.8,0.1,0.3\n", 3),
+    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,inf,0.3\n", 4),
+    ("fit", "covariates", "z1\n0.1\n-0.4\ninf\n0.3\n", 4),
+    ("fit", "covariates", "z1\n0.1\nnan\n1.2\n0.3\n", 3),
+    ("score", "observations", "", 1),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n\n1,0.3,0.4\n", 3),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3\n", 3),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n0,0.5,0.6\n", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "command,target,contents,line", MALFORMED,
+    ids=["data-nan", "data-inf", "covariate-inf", "covariate-nan",
+         "observations-empty", "observations-blank-row", "observations-short-row",
+         "observations-duplicate-time"],
+)
+def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, line):
+    files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES,
+             "forecasts": GOOD_FORECASTS, "observations": GOOD_OBSERVATIONS}
+    files[target] = contents
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    if command == "fit":
+        args = ["fit", "--data", paths["data"], "--covariates", paths["covariates"],
+                "--m-stop", 5, "--out-model", tmp_path / "m.json", "--out-report", tmp_path / "r.csv"]
+    else:
+        args = ["score", "--forecasts", paths["forecasts"], "--observations", paths["observations"],
+                "--out-scores", tmp_path / "s.csv", "--out-dm", tmp_path / "dm.csv"]
+    assert run(args) == 2
+    assert f"{paths[target]}:{line}:" in caplog.text

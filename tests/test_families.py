@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import kendalltau, kstest
 
 from vineboost import families as F
-from vineboost.errors import DomainError
+from vineboost.errors import DomainError, InterfaceError
 from vineboost.families import CopulaFamily
 
 ALL = list(F.FIT_FAMILIES)
@@ -146,8 +146,52 @@ class TestLossGradient:
         assert np.all(np.sign(g[keep]) == np.sign(fd[keep]))
 
     def test_zero_beyond_tau_clamp(self):
-        g = F.loss_gradient(CopulaFamily.GAUSSIAN, 0.3, 0.7, 40.0)
-        assert g == 0.0
+        # tanh(5) already exceeds TAU_CLAMP; at 40 it rounds to exactly 1
+        for eta in (5.0, -6.0, 40.0):
+            assert F.loss_gradient(CopulaFamily.GAUSSIAN, 0.3, 0.7, eta) == 0.0
+
+
+class TestPairKernel:
+    """The fused boosting kernel against the elementwise reference functions."""
+
+    # 0 is the Clayton tiny-theta branch; |eta| >= 5 sits on the tau clamp;
+    # |eta| >= 1.7 passes the Clayton theta cap and |eta| >= 2.3 the Gumbel one.
+    ETA = np.array([0.0, 0.05, 0.5, 1.0, 1.7, 2.0, 2.3, 3.0, 5.0, 6.0, 40.0])
+
+    @staticmethod
+    def data(n_rep):
+        # boundary values exercise the clamp into [U_EPS, 1 - U_EPS]
+        u = np.array([0.0, 1e-12, 0.03, 0.2, 0.5, 0.77, 0.99, 1.0])
+        u1, u2 = np.meshgrid(u, u[::-1])
+        return np.tile(u1.ravel(), n_rep), np.tile(u2.ravel(), n_rep)
+
+    @pytest.mark.parametrize("fam", ALL + [CopulaFamily.INDEPENDENCE])
+    @pytest.mark.parametrize("signs", ["mixed", "positive", "negative"])
+    def test_matches_elementwise(self, fam, signs):
+        eta_grid = {"mixed": np.concatenate([-self.ETA, self.ETA]),
+                    "positive": self.ETA, "negative": -self.ETA[1:]}[signs]
+        u1, u2 = self.data(len(eta_grid))
+        eta = np.repeat(eta_grid, len(u1) // len(eta_grid))
+        kernel = F.prepare(fam, u1, u2)
+        value, grad = kernel.value_and_grad(eta)
+        ref_value = F.log_density(fam, u1, u2, F.link_tau(eta))
+        ref_grad = F.loss_gradient(fam, u1, u2, eta)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(kernel.log_density(eta), ref_value, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_eta_is_domain_error(self):
+        kernel = F.prepare(CopulaFamily.GUMBEL_I, np.full(3, 0.3), np.full(3, 0.6))
+        with pytest.raises(DomainError):
+            kernel.value_and_grad(np.array([0.1, np.nan, 0.2]))
+        with pytest.raises(DomainError):
+            kernel.log_density(np.array([0.1, 0.2, np.inf]))
+
+    def test_non_finite_data_names_row_and_column(self):
+        u1 = np.array([0.2, 0.3, 0.4])
+        u2 = np.array([0.5, np.inf, 0.6])
+        with pytest.raises(InterfaceError, match="pairs row 1, column 1"):
+            F.prepare(CopulaFamily.CLAYTON_I, u1, u2)
 
 
 class TestHFunctions:
