@@ -216,39 +216,81 @@ def stop_aic(path):
     return int(np.argmin(aic))
 
 
-def _holdout_risk_path(path, pairs, Z):
-    """Held-out mean negative log likelihood after each iteration."""
-    pairs = np.asarray(pairs, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    kernel = prepare(path.family, pairs[:, 0], pairs[:, 1])
-    Zs = (Z - path.mu) / path.sigma
-    if path.has_intercept:
-        Zs[:, 0] = 1.0
-    eta = np.zeros(len(pairs))
-    out = np.zeros(path.m_stop + 1)
-    out[0] = -np.mean(kernel.log_density(eta))
-    for m in range(1, path.m_stop + 1):
-        eta += path.increments[m - 1] * Zs[:, path.selected[m - 1]]
-        out[m] = -np.mean(kernel.log_density(eta))
-    return out
+def _cv_paths(pairs, Z, family, control):
+    """Per-fold selections and held-out risks of seeded K-fold CV.
 
-
-def stop_cv(pairs, Z, family, control):
-    """Optimal iteration count by seeded K-fold cross-validation."""
-    # Checked here as well as per fold, so that errors name rows of the input.
+    The K folds are boosted together.  Fold k's rows sit in the order
+    "training rows, then held-out rows" in row k of a (K, N) index; the
+    training rows are standardized as :func:`boost` does and the held-out
+    rows with the same mean and scale, stacked into one (K, N, p+1) design
+    (K·N·(p+1) floats).  Each iteration evaluates the kernel once on the
+    (K, N) linear predictor: fold k's step is the exact GEMV of its
+    training block, so it makes the decisions of :func:`boost` on the
+    training rows, and its held-out risk is the mean negative log density
+    of the remaining rows.  Returns ``selected`` (K, m_stop) and the
+    held-out risk (K, m_stop + 1).
+    """
     pairs, Z = _checked_data(pairs, Z)
-    n = len(pairs)
+    n, p1 = Z.shape
     k = control.cv_folds
     rng = np.random.default_rng(control.seed)
     folds = np.array_split(rng.permutation(n), k)
     if min(len(f) for f in folds) < 10:
         raise ConfigurationError("each CV fold needs at least 10 observations")
-    total = np.zeros(control.m_stop + 1)
-    for fold in folds:
-        train = np.setdiff1d(np.arange(n), fold)
-        path = boost(pairs[train], Z[train], family, control)
-        total += _holdout_risk_path(path, pairs[fold], Z[fold])
-    return int(np.argmin(total))
+    n_train = n - np.array([len(f) for f in folds])
+    order = np.stack([np.concatenate([np.setdiff1d(np.arange(n), f), f]) for f in folds])
+
+    Zs = np.empty((k, n, p1))
+    mask = np.empty((k, p1), dtype=bool)
+    colsq = np.empty((k, p1))
+    for i, t in enumerate(n_train):
+        train, mu, sigma, has_intercept, degenerate = _standardize(Z[order[i, :t]])
+        if degenerate.all():
+            raise ConfigurationError("no selectable covariates")
+        Zs[i, :t] = train
+        Zs[i, t:] = (Z[order[i, t:]] - mu) / sigma
+        mask[i] = ~degenerate
+        colsq[i] = np.einsum("ij,ij->j", train, train)
+    colsq_safe = np.where(colsq < _DEGENERATE_TOL, 1.0, colsq)
+    kernel = prepare(family, pairs[order, 0], pairs[order, 1])
+    # GEMV operands per fold, and the folds grouped by held-out size
+    train_T = [Zs[i, :t].T for i, t in enumerate(n_train)]
+    held = [(np.flatnonzero(n_train == t), t) for t in np.unique(n_train)]
+
+    m_stop = control.m_stop
+    selected = np.zeros((k, m_stop), dtype=np.int64)
+    risk = np.zeros((k, m_stop + 1))
+    folds_ix = np.arange(k)
+    numer = np.empty((k, p1))
+    eta = np.zeros((k, n))
+    logpdf, g = kernel.value_and_grad(eta)
+    for m in range(m_stop + 1):
+        for rows, t in held:
+            risk[rows, m] = -logpdf[rows, t:].mean(axis=1)
+        if m == m_stop:
+            break
+        for i, t in enumerate(n_train):
+            np.matmul(train_T[i], g[i, :t], out=numer[i])
+        score = np.where(mask, numer * numer / colsq_safe, -np.inf)
+        j = np.argmax(score, axis=1)
+        step = control.nu * numer[folds_ix, j] / colsq_safe[folds_ix, j]
+        eta += step[:, None] * Zs[folds_ix, :, j]
+        selected[:, m] = j
+        if m + 1 < m_stop:
+            logpdf, g = kernel.value_and_grad(eta)
+        else:
+            logpdf = kernel.log_density(eta)
+    return selected, risk
+
+
+def stop_cv(pairs, Z, family, control):
+    """Optimal iteration count by seeded K-fold cross-validation.
+
+    The argmin over m of the held-out risk summed over the folds; all folds
+    are boosted in one loop (see :func:`_cv_paths`).
+    """
+    _, risk = _cv_paths(pairs, Z, family, control)
+    return int(np.argmin(risk.sum(axis=0)))
 
 
 def attributable_risk(path, through=None):

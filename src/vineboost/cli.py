@@ -46,6 +46,22 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _floats(path, ln, header, row, start=0):
+    """``row[start:]`` as floats; a bad item names its file, line and column."""
+    vals = []
+    for j in range(start, len(row)):
+        item = row[j]
+        try:
+            val = float(item)
+        except ValueError:
+            raise InterfaceError(f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not numeric")
+        # float() also parses nan and inf
+        if not math.isfinite(val):
+            raise InterfaceError(f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not finite")
+        vals.append(val)
+    return vals
+
+
 def read_csv_matrix(path, expect_columns=None):
     """Numeric CSV with a header row; failures carry line/column info."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -60,21 +76,7 @@ def read_csv_matrix(path, expect_columns=None):
                 raise InterfaceError(
                     f"{path}:{ln}: expected {len(header)} columns, found {len(row)}"
                 )
-            vals = []
-            for j, item in enumerate(row):
-                try:
-                    val = float(item)
-                except ValueError:
-                    raise InterfaceError(
-                        f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not numeric"
-                    )
-                # float() also parses nan and inf
-                if not math.isfinite(val):
-                    raise InterfaceError(
-                        f"{path}:{ln}: column {j + 1} ({header[j]}): {item!r} is not finite"
-                    )
-                vals.append(val)
-            rows.append(vals)
+            rows.append(_floats(path, ln, header, row))
     if not rows:
         raise InterfaceError(f"{path}: no data rows")
     if expect_columns is not None and len(header) != expect_columns:
@@ -243,12 +245,8 @@ def _read_forecasts(path):
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
-            time_key, method = row[0], row[1]
-            try:
-                vec = [float(x) for x in row[3:]]
-            except ValueError:
-                raise InterfaceError(f"{path}:{ln}: non-numeric forecast value")
-            ensembles.setdefault((time_key, method), []).append(vec)
+            vec = _floats(path, ln, header, row, start=3)
+            ensembles.setdefault((row[0], row[1]), []).append(vec)
     if not ensembles:
         raise InterfaceError(f"{path}: no data rows")
     return {k: np.asarray(v) for k, v in ensembles.items()}, len(header) - 3
@@ -269,10 +267,7 @@ def _read_observations(path, d):
                 raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
             if row[0] in obs:
                 raise InterfaceError(f"{path}:{ln}: duplicate time {row[0]!r}")
-            try:
-                obs[row[0]] = np.asarray([float(x) for x in row[1:]])
-            except ValueError:
-                raise InterfaceError(f"{path}:{ln}: non-numeric observation value")
+            obs[row[0]] = np.asarray(_floats(path, ln, header, row, start=1))
     return obs
 
 

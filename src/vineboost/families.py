@@ -634,9 +634,10 @@ class PairKernel:
 def prepare(family, u1, u2):
     """A :class:`PairKernel` for ``family`` on the copula data (u1, u2).
 
-    ``u1`` and ``u2`` are the two columns of an (N, 2) pairs array; a
-    non-finite entry raises :class:`InterfaceError` naming its row and
-    column.  Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.
+    ``u1`` and ``u2`` are the two columns of an (N, 2) pairs array, whose
+    non-finite entries raise :class:`InterfaceError` naming their row and
+    column, or two (K, N) arrays with one row per CV fold.  Values are
+    clamped into [U_EPS, 1 - U_EPS] as everywhere else.
     """
     _require_finite("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)

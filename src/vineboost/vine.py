@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from . import boosting as bst
 from .boosting import BoostControl, FittedPairCopula, predict_tau
@@ -91,11 +90,48 @@ class VineStructure:
 
     @classmethod
     def from_dict(cls, obj):
-        trees = [
-            [VineEdge(int(e["a"]), int(e["b"]), tuple(e.get("conditioning", ()))) for e in tree]
-            for tree in obj["trees"]
-        ]
-        return cls.from_edges(int(obj["d"]), trees)
+        d, trees, _ = _tree_records(obj, "structure")
+        return cls.from_edges(d, trees)
+
+
+def _field(obj, key, convert, where):
+    """``convert(obj[key])``; a missing key or a bad value raises
+    :class:`InterfaceError` naming ``where`` and the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InterfaceError(f"{where}: missing key {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise InterfaceError(f"{where}: key {key!r}: {exc}") from None
+
+
+def _tree_records(obj, where):
+    """Dimension, per-tree edges and the record of each edge of a document."""
+    records = {}
+    trees = []
+    for t, tree_obj in enumerate(_field(obj, "trees", list, where), start=1):
+        if not isinstance(tree_obj, list):
+            raise InterfaceError(f"{where} tree {t}: expected a list of edge records")
+        tree = []
+        for i, rec in enumerate(tree_obj, start=1):
+            at = f"{where} tree {t} edge {i}"
+            if not isinstance(rec, dict):
+                raise InterfaceError(f"{at}: expected an edge record object")
+            cond = ()
+            if "conditioning" in rec:
+                cond = _field(rec, "conditioning", lambda v: tuple(int(x) for x in v), at)
+            e = VineEdge(_field(rec, "a", int, at), _field(rec, "b", int, at), cond)
+            records[e] = rec
+            tree.append(e)
+        trees.append(tree)
+    return _field(obj, "d", int, where), trees, records
+
+
+def _finite_vector(value):
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1 or not np.all(np.isfinite(out)):
+        raise ValueError("expected a list of finite numbers")
+    return out
 
 
 def dvine_structure(order):
@@ -444,31 +480,43 @@ class ConditionalVineModel:
 
     @classmethod
     def from_dict(cls, obj):
-        if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise InterfaceError(f"unsupported model schema version {obj.get('schema_version')!r}")
-        structure = VineStructure.from_dict(obj)
+        """The model of a :meth:`to_dict` document.
+
+        A malformed document raises :class:`InterfaceError`.  For a missing
+        key, a bad value or a ``beta`` whose length is not the number of
+        covariate names the message names the edge and the key; for a
+        missing or extra edge record it names the tree.
+        """
+        version = obj.get("schema_version") if isinstance(obj, dict) else None
+        if version != MODEL_SCHEMA_VERSION:
+            raise InterfaceError(f"unsupported model schema version {version!r}")
+        d, trees, records = _tree_records(obj, "model")
+        structure = VineStructure.from_edges(d, trees)
+        violations = validate_structure(structure)
+        if violations:
+            raise InterfaceError(f"model: {'; '.join(violations)}")
+        names = _field(obj, "covariate_names", tuple, "model")
+        level = _field(obj, "truncation_level", lambda v: v if v is None else int(v), "model")
         models = []
-        for tree_obj, tree in zip(obj["trees"], structure.trees):
-            by_key = {(int(e["a"]), int(e["b"]), tuple(sorted(e["conditioning"]))): e for e in tree_obj}
+        for tree in structure.trees:
             fits = []
             for e in tree:
-                rec = by_key[(e.a, e.b, e.cond)]
-                fit = FittedPairCopula(
-                    family=CopulaFamily(rec["family"]),
-                    beta=np.asarray(rec["beta"], dtype=float),
-                    m_opt=int(rec["m_opt"]),
-                    aic=float(rec["aic"]),
-                    loglik=float(rec["loglik"]),
-                    kept=tuple(int(j) for j in rec["kept"]),
-                )
-                fits.append(fit)
+                rec, at = records[e], f"model edge {e.label()}"
+                beta = _field(rec, "beta", _finite_vector, at)
+                if len(beta) != len(names):
+                    raise InterfaceError(
+                        f"{at}: key 'beta': {len(beta)} coefficients for {len(names)} covariate names"
+                    )
+                fits.append(FittedPairCopula(
+                    family=_field(rec, "family", CopulaFamily, at),
+                    beta=beta,
+                    m_opt=_field(rec, "m_opt", int, at),
+                    aic=_field(rec, "aic", float, at),
+                    loglik=_field(rec, "loglik", float, at),
+                    kept=_field(rec, "kept", lambda v: tuple(int(j) for j in v), at),
+                ))
             models.append(fits)
-        return cls(
-            structure=structure,
-            models=models,
-            covariate_names=tuple(obj["covariate_names"]),
-            truncation_level=obj["truncation_level"],
-        )
+        return cls(structure=structure, models=models, covariate_names=names, truncation_level=level)
 
     def to_json(self, path=None):
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -482,7 +530,12 @@ class ConditionalVineModel:
         if isinstance(source, str) and source.lstrip().startswith("{"):
             return cls.from_dict(json.loads(source))
         with open(source, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return cls.from_dict(obj)
+        except InterfaceError as exc:
+            exc.args = (f"{source}: {exc.args[0]}",) + exc.args[1:]
+            raise
 
     @classmethod
     def from_coefficients(cls, structure, families, betas, covariate_names=None):
@@ -617,6 +670,9 @@ def select_structure(U):
     parameter is the tau inversion of the lower-tree pair.  The result
     always satisfies the regular-vine conditions.
     """
+    # Imported here: scipy.stats costs most of the package's import time.
+    from scipy.stats import kendalltau
+
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] < 2:
         raise InterfaceError("U must be an (N, d) array with d >= 2")
@@ -635,8 +691,8 @@ def select_structure(U):
     candidates = []
     for a in range(d):
         for b in range(a + 1, d):
-            w = abs(kendalltau(cols[a], cols[b]).statistic)
-            candidates.append((w, (a, b), {"nodes": (a, b), "edge": VineEdge(a, b)}))
+            tau = kendalltau(cols[a], cols[b]).statistic
+            candidates.append((abs(tau), (a, b), {"nodes": (a, b), "edge": VineEdge(a, b), "tau": tau}))
     chosen = _kruskal_max(list(range(d)), candidates)
 
     trees = []
@@ -645,8 +701,7 @@ def select_structure(U):
     tree_edges = []
     for payload in chosen:
         e = payload["edge"]
-        ua, ub = cols[e.a], cols[e.b]
-        fitted[e] = (ua, ub, float(kendalltau(ua, ub).statistic))
+        fitted[e] = (cols[e.a], cols[e.b], float(payload["tau"]))
         tree_edges.append(e)
     trees.append(tree_edges)
 
@@ -678,16 +733,16 @@ def select_structure(U):
                 pb = q if pa is p else p
                 ua = pseudo_for(a, pa)
                 ub = pseudo_for(b, pb)
-                w = abs(kendalltau(ua, ub).statistic)
+                tau = kendalltau(ua, ub).statistic
                 candidates.append(
-                    (w, (e.a, e.b, e.cond), {"nodes": (p, q), "edge": e, "pseudo": (ua, ub)})
+                    (abs(tau), (e.a, e.b, e.cond),
+                     {"nodes": (p, q), "edge": e, "pseudo": (ua, ub), "tau": tau})
                 )
         chosen = _kruskal_max(prev, candidates)
         tree_edges = []
         for payload in chosen:
             e = payload["edge"]
-            ua, ub = payload["pseudo"]
-            fitted[e] = (ua, ub, float(kendalltau(ua, ub).statistic))
+            fitted[e] = (*payload["pseudo"], float(payload["tau"]))
             tree_edges.append(e)
         trees.append(tree_edges)
 

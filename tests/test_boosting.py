@@ -156,6 +156,43 @@ def reference_boost(pairs, Z, family, control, selectable=None):
     return selected, risk, active
 
 
+def holdout_risk_path(path, pairs, Z):
+    """Held-out mean negative log likelihood after each iteration of ``path``."""
+    kernel = F.prepare(path.family, pairs[:, 0], pairs[:, 1])
+    Zs = (Z - path.mu) / path.sigma
+    if path.has_intercept:
+        Zs[:, 0] = 1.0
+    eta = np.zeros(len(pairs))
+    out = np.zeros(path.m_stop + 1)
+    out[0] = -np.mean(kernel.log_density(eta))
+    for m in range(1, path.m_stop + 1):
+        eta += path.increments[m - 1] * Zs[:, path.selected[m - 1]]
+        out[m] = -np.mean(kernel.log_density(eta))
+    return out
+
+
+def cv_folds(n, control):
+    """The held-out rows of each fold of ``stop_cv``'s seeded split."""
+    rng = np.random.default_rng(control.seed)
+    return np.array_split(rng.permutation(n), control.cv_folds)
+
+
+def reference_cv(pairs, Z, family, control):
+    """K-fold CV one fold at a time: ``boost`` on the training rows, then a
+    replay of its path on the held-out rows; the fold-batched path's reference."""
+    n = len(pairs)
+    selected, risk = [], []
+    for fold in cv_folds(n, control):
+        train = np.setdiff1d(np.arange(n), fold)
+        path = B.boost(pairs[train], Z[train], family, control)
+        selected.append(path.selected)
+        risk.append(holdout_risk_path(path, pairs[fold], Z[fold]))
+    total = np.zeros(control.m_stop + 1)
+    for r in risk:
+        total += r
+    return np.array(selected), np.array(risk), int(np.argmin(total))
+
+
 class TestFusedPath:
     @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
     @pytest.mark.parametrize("selectable", [None, (0, 2, 4, 7)])
@@ -175,7 +212,7 @@ class TestFusedPath:
         pairs, Z = simulate_pair_data(fam, 300, 11, 0.3, seed=32)
         train, fold = np.arange(240), np.arange(240, 300)
         path = B.boost(pairs[train], Z[train], fam, BoostControl(m_stop=60, nu=0.3))
-        held = B._holdout_risk_path(path, pairs[fold], Z[fold])
+        held = holdout_risk_path(path, pairs[fold], Z[fold])
         u1, u2 = pairs[fold, 0], pairs[fold, 1]
         for m in range(path.m_stop + 1):
             Zs = (Z[fold] - path.mu) / path.sigma
@@ -183,6 +220,64 @@ class TestFusedPath:
             eta = Zs @ path.beta_std_at(m)
             total = np.sum(F.log_density(fam, u1, u2, F.link_tau(eta)))
             assert held[m] == pytest.approx(-total / len(fold), rel=1e-12)
+
+
+def assert_cv_matches_reference(pairs, Z, family, control):
+    selected, risk = B._cv_paths(pairs, Z, family, control)
+    ref_selected, ref_risk, ref_m_opt = reference_cv(pairs, Z, family, control)
+    np.testing.assert_array_equal(selected, ref_selected)
+    np.testing.assert_allclose(risk, ref_risk, rtol=1e-12, atol=0.0)
+    assert B.stop_cv(pairs, Z, family, control) == ref_m_opt
+
+
+class TestFoldBatchedCV:
+    """The fold-batched CV loop against per-fold ``boost`` plus a held-out replay."""
+
+    @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_matches_per_fold_reference(self, fam, intercept):
+        # negative intercept and slopes make tau change sign across rows
+        beta = np.array([-0.1, -0.4, 0.3, 0.6, 0.5, -0.4])
+        pairs, Z = simulate_pair_data(fam, 300, 21, 0.3, seed=34, beta=beta)
+        if not intercept:
+            Z = Z[:, 1:]
+        control = BoostControl(m_stop=150, nu=0.3, cv_folds=5, seed=4)
+        assert_cv_matches_reference(pairs, Z, fam, control)
+
+    def test_uneven_folds(self):
+        pairs, Z = simulate_pair_data(CopulaFamily.CLAYTON_II, 204, 11, 0.3, seed=35)
+        control = BoostControl(m_stop=100, nu=0.3, cv_folds=7, seed=5)
+        assert len({len(f) for f in cv_folds(204, control)}) == 2
+        assert_cv_matches_reference(pairs, Z, CopulaFamily.CLAYTON_II, control)
+
+    def test_two_folds(self):
+        pairs, Z = simulate_pair_data(CopulaFamily.GUMBEL_I, 200, 11, 0.3, seed=36)
+        control = BoostControl(m_stop=100, nu=0.3, cv_folds=2, seed=6)
+        assert_cv_matches_reference(pairs, Z, CopulaFamily.GUMBEL_I, control)
+
+    def test_covariate_degenerate_in_one_fold_only(self):
+        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 250, 11, 0.3, seed=37)
+        control = BoostControl(m_stop=100, nu=0.3, cv_folds=5, seed=7)
+        # column 4 varies only on the rows fold 2 holds out
+        held = cv_folds(250, control)[2]
+        Z[:, 4] = 0.5
+        Z[held, 4] = np.linspace(-1.0, 1.0, len(held))
+        assert_cv_matches_reference(pairs, Z, CopulaFamily.GAUSSIAN, control)
+        selected, _ = B._cv_paths(pairs, Z, CopulaFamily.GAUSSIAN, control)
+        assert not np.any(selected[2] == 4)
+        assert np.any(selected == 4)
+
+    def test_fold_with_every_column_degenerate(self):
+        pairs, _ = simulate_pair_data(CopulaFamily.GAUSSIAN, 100, 6, 0.3, seed=38)
+        control = BoostControl(m_stop=20, cv_folds=5, seed=8)
+        # one covariate and no intercept: constant on fold 3's training rows
+        Z = np.full((100, 1), 2.0)
+        held = cv_folds(100, control)[3]
+        Z[held, 0] = np.linspace(-1.0, 1.0, len(held))
+        with pytest.raises(ConfigurationError, match="no selectable covariates"):
+            B.stop_cv(pairs, Z, CopulaFamily.GAUSSIAN, control)
+        with pytest.raises(ConfigurationError, match="no selectable covariates"):
+            reference_cv(pairs, Z, CopulaFamily.GAUSSIAN, control)
 
 
 class TestNonFiniteInput:
@@ -241,7 +336,7 @@ class TestStopping:
         # so the fold-summed criterion has the same argmin
         pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 400, 6, 0.2, seed=9)
         path = B.boost(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl(m_stop=100))
-        held = B._holdout_risk_path(path, pairs, Z)
+        held = holdout_risk_path(path, pairs, Z)
         np.testing.assert_allclose(held, path.risk, rtol=1e-12)
 
     def test_cv_deterministic_under_seed(self):

@@ -288,44 +288,81 @@ class TestManifest:
             assert len(digest) == 64
 
 
-# One row per malformed input: (command, file to corrupt, its contents, bad line).
+# One row per malformed input: (command, file to corrupt, its contents, where
+# the message points after the file name).
 GOOD_DATA = "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,0.1,0.3\n0.4,0.9,0.6\n"
 GOOD_COVARIATES = "z1\n0.1\n-0.4\n1.2\n0.3\n"
 GOOD_FORECASTS = "time,method,member,y1,y2\n" + "".join(
     f"{t},m1,{k},{0.1 * k},{0.2 * t}\n" for t in range(2) for k in range(3)
 )
 GOOD_OBSERVATIONS = "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n"
+
+
+def model_json(edit=None):
+    """A 3-variable D-vine model document on (intercept, z1), optionally edited."""
+    model = ConditionalVineModel.from_coefficients(
+        dvine_structure([0, 1, 2]),
+        [CopulaFamily.GAUSSIAN, CopulaFamily.CLAYTON_I, CopulaFamily.GUMBEL_II],
+        [[0.2, 0.1], [0.3, -0.2], [0.1, 0.0]],
+        covariate_names=("(intercept)", "z1"),
+    )
+    obj = model.to_dict()
+    if edit is not None:
+        edit(obj["trees"])
+    return json.dumps(obj)
+
+
 MALFORMED = [
-    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\nnan,0.6,0.7\n0.8,0.1,0.3\n", 3),
-    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,inf,0.3\n", 4),
-    ("fit", "covariates", "z1\n0.1\n-0.4\ninf\n0.3\n", 4),
-    ("fit", "covariates", "z1\n0.1\nnan\n1.2\n0.3\n", 3),
-    ("score", "observations", "", 1),
-    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n\n1,0.3,0.4\n", 3),
-    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3\n", 3),
-    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n0,0.5,0.6\n", 4),
+    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\nnan,0.6,0.7\n0.8,0.1,0.3\n", ":3:"),
+    ("fit", "data", "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,inf,0.3\n", ":4:"),
+    ("fit", "covariates", "z1\n0.1\n-0.4\ninf\n0.3\n", ":4:"),
+    ("fit", "covariates", "z1\n0.1\nnan\n1.2\n0.3\n", ":3:"),
+    ("score", "observations", "", ":1:"),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n\n1,0.3,0.4\n", ":3:"),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3\n", ":3:"),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n0,0.5,0.6\n", ":4:"),
+    ("score", "forecasts", GOOD_FORECASTS.replace("1,m1,1,0.1,", "1,m1,1,nan,"), ":6: column 4 (y1)"),
+    ("score", "observations", "time,y1,y2\n0,0.1,0.2\n1,0.3,inf\n", ":3: column 3 (y2)"),
+    ("sample", "model", model_json(lambda trees: trees[0][0].update(family="frank")),
+     ": model edge 0,1: key 'family'"),
+    ("sample", "model", model_json(lambda trees: trees[0].pop()), ": model: tree 1 has 1 edges"),
+    ("sample", "model", model_json(lambda trees: trees[1][0].pop("beta")),
+     ": model edge 0,2;1: missing key 'beta'"),
+    ("sample", "model", model_json(lambda trees: trees[0][1].pop("kept")),
+     ": model edge 1,2: missing key 'kept'"),
+    ("sample", "model", model_json(lambda trees: trees[0][1].update(beta=[0.3])),
+     ": model edge 1,2: key 'beta'"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,target,contents,line", MALFORMED,
+    "command,target,contents,where", MALFORMED,
     ids=["data-nan", "data-inf", "covariate-inf", "covariate-nan",
          "observations-empty", "observations-blank-row", "observations-short-row",
-         "observations-duplicate-time"],
+         "observations-duplicate-time", "forecasts-nan", "observations-inf",
+         "model-unknown-family", "model-missing-edge", "model-missing-beta",
+         "model-missing-kept", "model-beta-length"],
 )
-def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, line):
+def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):
     files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES,
-             "forecasts": GOOD_FORECASTS, "observations": GOOD_OBSERVATIONS}
+             "forecasts": GOOD_FORECASTS, "observations": GOOD_OBSERVATIONS, "model": model_json()}
     files[target] = contents
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.csv"
         paths[name].write_text(text)
     if command == "fit":
+        outputs = [tmp_path / "m.json", tmp_path / "r.csv"]
         args = ["fit", "--data", paths["data"], "--covariates", paths["covariates"],
-                "--m-stop", 5, "--out-model", tmp_path / "m.json", "--out-report", tmp_path / "r.csv"]
+                "--m-stop", 5, "--out-model", outputs[0], "--out-report", outputs[1]]
+    elif command == "sample":
+        outputs = [tmp_path / "u.csv"]
+        args = ["sample", "--model", paths["model"], "--covariates", paths["covariates"],
+                "--out", outputs[0]]
     else:
+        outputs = [tmp_path / "s.csv", tmp_path / "dm.csv"]
         args = ["score", "--forecasts", paths["forecasts"], "--observations", paths["observations"],
-                "--out-scores", tmp_path / "s.csv", "--out-dm", tmp_path / "dm.csv"]
+                "--out-scores", outputs[0], "--out-dm", outputs[1]]
     assert run(args) == 2
-    assert f"{paths[target]}:{line}:" in caplog.text
+    assert f"{paths[target]}{where}" in caplog.text
+    assert not any(path.exists() for path in outputs)

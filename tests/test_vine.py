@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest, qmc, rankdata
 
+import vineboost
 from vineboost.boosting import BoostControl, fit_pair, predict_tau
 from vineboost.errors import ConfigurationError, FitError, InterfaceError, StructureError
 from vineboost.families import CopulaFamily, FIT_FAMILIES, sample_pair
@@ -295,6 +301,15 @@ class TestSelectStructure:
     def test_needs_enough_rows(self):
         with pytest.raises(ConfigurationError):
             select_structure(np.random.default_rng(0).random((10, 3)))
+
+    def test_import_defers_scipy_stats(self):
+        # only select_structure needs scipy.stats; importing it costs ~0.8 s
+        src = str(Path(vineboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, vineboost, vineboost.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestTruncateAndSerialize:
