@@ -41,9 +41,6 @@ _DEGENERATE_TOL = 1e-12
 class BoostControl:
     """Tuning knobs for the boosting estimator.
 
-    ``deselect_through_m_opt`` truncates the attributable-risk sums at the
-    stopping iteration instead of the full path (off by default; the risk
-    attribution formula is defined over the full path).
     ``protect_intercept`` exempts column 0 from deselection.
     """
 
@@ -53,7 +50,6 @@ class BoostControl:
     stopping: str = "aic"
     cv_folds: int = 10
     seed: int = 0
-    deselect_through_m_opt: bool = False
     protect_intercept: bool = True
 
     def __post_init__(self):
@@ -293,29 +289,26 @@ def stop_cv(pairs, Z, family, control):
     return int(np.argmin(risk.sum(axis=0)))
 
 
-def attributable_risk(path, through=None):
-    """Per-covariate risk reduction credited over the path.
+def attributable_risk(path):
+    """Per-covariate risk reduction credited over the whole path.
 
-    R_j sums the drops r[m-1] - r[m] of the iterations that selected j,
-    by default over the whole path.
+    R_j sums the drops r[m-1] - r[m] of the iterations that selected j.
     """
-    m = path.m_stop if through is None else int(through)
-    drops = path.risk[:m] - path.risk[1 : m + 1]
+    drops = path.risk[:-1] - path.risk[1:]
     out = np.zeros(len(path.mu))
-    np.add.at(out, path.selected[:m], drops)
+    np.add.at(out, path.selected, drops)
     return out
 
 
-def deselect(path, m_opt, gamma, protect_intercept=True, through_m_opt=False):
+def deselect(path, gamma, protect_intercept=True):
     """Indices of covariates kept by the attributable-risk rule.
 
     A covariate survives when its attributable risk reduction reaches
     ``gamma`` times the total reduction of the path.  When the total
     reduction is not positive only the (protected) intercept survives.
     """
-    m_ref = m_opt if through_m_opt else path.m_stop
-    risks = attributable_risk(path, through=m_ref)
-    total = path.risk[0] - path.risk[m_ref]
+    risks = attributable_risk(path)
+    total = path.risk[0] - path.risk[-1]
     if total <= 0.0:
         warnings.warn("total risk reduction is not positive; keeping only the intercept")
         kept = np.array([0], dtype=int) if protect_intercept and path.has_intercept else np.array([], dtype=int)
@@ -405,14 +398,7 @@ def fit_family(pairs, Z, family, control, refit=True):
     final, m_final = path, m_opt
     survivors = refit_path = None
     if refit:
-        survivors = deselect(
-            path,
-            m_opt,
-            control.gamma,
-            protect_intercept=control.protect_intercept,
-            through_m_opt=control.deselect_through_m_opt,
-        )
-        survivors = tuple(int(j) for j in survivors)
+        survivors = tuple(int(j) for j in deselect(path, control.gamma, control.protect_intercept))
         if m_opt > 0 and survivors:
             refit_path = boost(pairs, Z, family, replace(control, m_stop=m_opt), selectable=survivors)
             final = refit_path

@@ -62,26 +62,36 @@ def _floats(path, ln, header, row, start=0):
     return vals
 
 
-def read_csv_matrix(path, expect_columns=None):
-    """Numeric CSV with a header row; failures carry line/column info."""
+def _csv_rows(path, header_ok=lambda header: True, expected=None):
+    """``(line, row)`` for every row of a CSV file, the header row first.
+
+    An empty file, a header that fails ``header_ok`` (the message shows
+    ``expected``), a data row whose width differs from the header's and a
+    file without data rows raise :class:`InterfaceError` naming the file and
+    the line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InterfaceError(f"{path}: empty file, expected a header row")
-        rows = []
+        header = next(reader, None)
+        if header is None:
+            raise InterfaceError(f"{path}:1: empty file, expected a header row")
+        if not header_ok(header):
+            raise InterfaceError(f"{path}:1: expected header {expected}")
+        yield 1, header
+        ln = 1
         for ln, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise InterfaceError(
-                    f"{path}:{ln}: expected {len(header)} columns, found {len(row)}"
-                )
-            rows.append(_floats(path, ln, header, row))
-    if not rows:
-        raise InterfaceError(f"{path}: no data rows")
-    if expect_columns is not None and len(header) != expect_columns:
-        raise InterfaceError(f"{path}: expected {expect_columns} columns, found {len(header)}")
-    return header, np.asarray(rows, dtype=float)
+                raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
+            yield ln, row
+    if ln == 1:
+        raise InterfaceError(f"{path}:2: no data rows")
+
+
+def read_csv_matrix(path):
+    """Numeric CSV with a header row; failures carry line/column info."""
+    rows = _csv_rows(path)
+    _, header = next(rows)
+    return header, np.asarray([_floats(path, ln, header, row) for ln, row in rows], dtype=float)
 
 
 def load_covariates(path, n_rows):
@@ -233,41 +243,24 @@ def cmd_sample(args):
 
 
 def _read_forecasts(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InterfaceError(f"{path}: empty file, expected a header row")
-        if len(header) < 4 or header[:3] != ["time", "method", "member"]:
-            raise InterfaceError(f"{path}: expected header time,method,member,<dim...>")
-        ensembles = {}
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
-            vec = _floats(path, ln, header, row, start=3)
-            ensembles.setdefault((row[0], row[1]), []).append(vec)
-    if not ensembles:
-        raise InterfaceError(f"{path}: no data rows")
+    rows = _csv_rows(path, lambda header: len(header) >= 4 and header[:3] == ["time", "method", "member"],
+                     "time,method,member,<dim...>")
+    _, header = next(rows)
+    ensembles = {}
+    for ln, row in rows:
+        ensembles.setdefault((row[0], row[1]), []).append(_floats(path, ln, header, row, start=3))
     return {k: np.asarray(v) for k, v in ensembles.items()}, len(header) - 3
 
 
 def _read_observations(path, d):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InterfaceError(f"{path}:1: empty file, expected a header row")
-        if header[:1] != ["time"] or len(header) != d + 1:
-            raise InterfaceError(f"{path}:1: expected header time,<{d} dims>")
-        obs = {}
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise InterfaceError(f"{path}:{ln}: expected {len(header)} columns, found {len(row)}")
-            if row[0] in obs:
-                raise InterfaceError(f"{path}:{ln}: duplicate time {row[0]!r}")
-            obs[row[0]] = np.asarray(_floats(path, ln, header, row, start=1))
+    rows = _csv_rows(path, lambda header: header[:1] == ["time"] and len(header) == d + 1,
+                     f"time,<{d} dims>")
+    _, header = next(rows)
+    obs = {}
+    for ln, row in rows:
+        if row[0] in obs:
+            raise InterfaceError(f"{path}:{ln}: duplicate time {row[0]!r}")
+        obs[row[0]] = np.asarray(_floats(path, ln, header, row, start=1))
     return obs
 
 

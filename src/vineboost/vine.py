@@ -5,8 +5,10 @@ conditioned pairs and conditioning sets subject to the proximity condition.
 Fitting proceeds top-down: tree-1 edges are estimated on the raw copula
 data, pseudo-observations for higher trees are obtained by pushing the data
 through the fitted h-functions with each observation's own covariate-driven
-Kendall's tau.  Density evaluation reuses the same recursion; sampling
-inverts it (inverse Rosenblatt transform).
+Kendall's tau.  One memoized recursion for the conditional CDF F(v | D)
+(:func:`_cond_cdf`) serves fitting, density evaluation, the forward
+Rosenblatt transform and structure selection; sampling inverts it (inverse
+Rosenblatt transform).
 """
 
 from __future__ import annotations
@@ -245,36 +247,60 @@ def _require_valid(structure):
         raise StructureError("; ".join(violations))
 
 
-def _parent_of(var, edge, prev_edges):
-    """The unique tree-(t-1) edge carrying ``var`` in its conditioned set within edge.union."""
-    for p in prev_edges:
-        if var in (p.a, p.b) and p.union <= edge.union:
-            return p
-    raise StructureError(f"no parent edge found for variable {var} of edge {edge.label()}")
-
-
 def _clamp_unit(x):
     return np.clip(x, U_EPS, 1.0 - U_EPS)
 
 
-def _edge_h(model, which, ua, ub, Z):
-    tau = predict_tau(model, Z)
-    return _clamp_unit(hfunc(model.family, which, ua, ub, tau))
+def _columns(U):
+    """The columns of U by variable, clamped into [U_EPS, 1 - U_EPS]."""
+    return {v: _clamp_unit(U[:, v]) for v in range(U.shape[1])}
 
 
-def _propagate_tree(tree, prev, fit_of, pseudo, Z):
-    """Add the pseudo-observation pairs of ``tree``'s edges to ``pseudo``.
+def _check_level(level, d, error=ConfigurationError):
+    if not 1 <= level <= d - 1:
+        raise error(f"truncation level must lie in [1, {d - 1}]")
+    return level
 
-    Each conditioned variable of an edge is the h-transform, at each row's
-    covariates, of its parent edge in ``prev`` (the tree below); ``fit_of``
-    maps those parent edges to their fitted copulas.
+
+def _edge_index(trees):
+    """``(v, rest) -> edge`` for both conditioned variables v of every edge,
+    where ``rest`` is the sorted tuple of the edge's other variables."""
+    index = {}
+    for tree in trees:
+        for e in tree:
+            index[(e.a, tuple(sorted(e.union - {e.a})))] = e
+            index[(e.b, tuple(sorted(e.union - {e.b})))] = e
+    return index
+
+
+def _cond_cdf(var, cond, index, h, values, cache):
+    """F(var | cond), the conditional CDF the vine assigns to ``var``.
+
+    With ``cond`` empty it is ``values[var]``.  Otherwise it is the h-function
+    of the edge ``e = index[(var, cond)]`` applied to the two margins one tree
+    below, ``h(e, which, F(e.a | e.cond), F(e.b | e.cond))``, with ``which``
+    "1|2" when ``var`` is ``e.a``.  Results are memoized in ``cache``.
     """
-    for e in tree:
-        pa = _parent_of(e.a, e, prev)
-        pb = _parent_of(e.b, e, prev)
-        ua = _edge_h(fit_of[pa], "1|2" if e.a == pa.a else "2|1", *pseudo[pa], Z)
-        ub = _edge_h(fit_of[pb], "1|2" if e.b == pb.a else "2|1", *pseudo[pb], Z)
-        pseudo[e] = (ua, ub)
+    if not cond:
+        return values[var]
+    key = (var, cond)
+    if key not in cache:
+        e = index[key]
+        ua = _cond_cdf(e.a, e.cond, index, h, values, cache)
+        ub = _cond_cdf(e.b, e.cond, index, h, values, cache)
+        cache[key] = h(e, "1|2" if var == e.a else "2|1", ua, ub)
+    return cache[key]
+
+
+def _fitted_h(fit_of, Z):
+    """The h of :func:`_cond_cdf` for edges fitted as ``fit_of[e]``, at each
+    row's covariates, clamped into [U_EPS, 1 - U_EPS]."""
+
+    def h(e, which, ua, ub):
+        fit = fit_of[e]
+        return _clamp_unit(hfunc(fit.family, which, ua, ub, predict_tau(fit, Z)))
+
+    return h
 
 
 @dataclass
@@ -295,12 +321,9 @@ class ConditionalVineModel:
             for e, fit in zip(tree, fits):
                 lookup[e] = fit
         self._by_edge = lookup
-        index = {}
-        for tree in self.structure.trees:
-            for e in tree:
-                index[(e.a, tuple(sorted(e.union - {e.a})))] = e
-                index[(e.b, tuple(sorted(e.union - {e.b})))] = e
-        self._cond_index = index
+        self._index = _edge_index(self.structure.trees)
+        if self.truncation_level is not None:
+            _check_level(self.truncation_level, self.d)
 
     @property
     def d(self) -> int:
@@ -309,11 +332,6 @@ class ConditionalVineModel:
     @property
     def n_covariates(self) -> int:
         return len(self.covariate_names)
-
-    def _levels(self):
-        if self.truncation_level is None:
-            return len(self.structure.trees)
-        return min(self.truncation_level, len(self.structure.trees))
 
     def pair_model(self, edge):
         return self._by_edge[edge]
@@ -326,95 +344,65 @@ class ConditionalVineModel:
             )
         return Z
 
-    def _pseudo_map(self, U, Z, levels):
-        """Per-edge pseudo-observation pairs through the given tree level."""
-        pseudo = {}
-        for e in self.structure.trees[0]:
-            pseudo[e] = (_clamp_unit(U[:, e.a]), _clamp_unit(U[:, e.b]))
-        for t in range(1, levels):
-            _propagate_tree(self.structure.trees[t], self.structure.trees[t - 1], self._by_edge, pseudo, Z)
-        return pseudo
+    def _check_UZ(self, U, Z, name="U"):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        Z = self._check_Z(Z)
+        if U.ndim != 2 or U.shape[1] != self.d:
+            raise InterfaceError(f"{name} width {U.shape[-1]} does not match dimension {self.d}")
+        if U.shape[0] != Z.shape[0]:
+            raise InterfaceError(f"{name} and Z must have the same number of rows")
+        return U, Z
+
+    def _cdf(self, values, Z):
+        """``F(var, cond)`` of :func:`_cond_cdf` for this model at the rows of Z."""
+        h, cache = _fitted_h(self._by_edge, Z), {}
+        return lambda var, cond: _cond_cdf(var, cond, self._index, h, values, cache)
 
     def pseudo_observations(self, U, Z):
         """The h-function-transformed data each edge's copula acts on."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        Z = self._check_Z(Z)
-        return self._pseudo_map(U, Z, self._levels())
+        U, Z = self._check_UZ(U, Z)
+        F = self._cdf(_columns(U), Z)
+        return {e: (F(e.a, e.cond), F(e.b, e.cond))
+                for tree in self.structure.trees[: self.truncation_level] for e in tree}
 
     def log_density(self, U, Z):
         """Per-row log density of the conditional vine copula."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        Z = self._check_Z(Z)
-        if U.shape[1] != self.d:
-            raise InterfaceError(f"U width {U.shape[1]} does not match dimension {self.d}")
-        if U.shape[0] != Z.shape[0]:
-            raise InterfaceError("U and Z must have the same number of rows")
+        U, Z = self._check_UZ(U, Z)
         out = np.zeros(U.shape[0])
-        pseudo = self._pseudo_map(U, Z, self._levels())
-        for t in range(self._levels()):
-            for e in self.structure.trees[t]:
-                fit = self._by_edge[e]
-                if fit.family == CopulaFamily.INDEPENDENCE:
-                    continue
-                ua, ub = pseudo[e]
+        for e, (ua, ub) in self.pseudo_observations(U, Z).items():
+            fit = self._by_edge[e]
+            if fit.family != CopulaFamily.INDEPENDENCE:
                 out += log_density(fit.family, ua, ub, predict_tau(fit, Z))
         return out
 
-    # -- conditional-distribution recursion -------------------------------
-
-    def _cond_cdf(self, var, cond, values, Z, cache):
-        if not cond:
-            return values[var]
-        key = (var, cond)
-        if key in cache:
-            return cache[key]
-        e = self._cond_index[(var, cond)]
-        fit = self._by_edge[e]
-        ua = self._cond_cdf(e.a, e.cond, values, Z, cache)
-        ub = self._cond_cdf(e.b, e.cond, values, Z, cache)
-        out = _edge_h(fit, "1|2" if var == e.a else "2|1", ua, ub, Z)
-        cache[key] = out
-        return out
-
-    def _sampling_plan(self):
-        trees = [list(tree) for tree in self.structure.trees]
-        plan = []
-        k = self.d
-        while k > 2:
-            top = trees[k - 2]
-            e_top = top[0]
-            x = e_top.b
-            chain = []
-            for t in range(k - 1):
-                match = [f for f in trees[t] if x in (f.a, f.b)]
-                chain.append(match[0])
-                trees[t].remove(match[0])
-            plan.append((x, chain))
-            k -= 1
-        e = trees[0][0]
-        plan.append((e.b, [e]))
-        plan.append((e.a, []))
-        plan.reverse()
-        return plan
+    def _order(self):
+        """The variables in Rosenblatt order: the last is the ``.b`` of the
+        edge joining all variables, the one before it the ``.b`` of the edge
+        joining the rest, and so on."""
+        by_union = {e.union: e for tree in self.structure.trees for e in tree}
+        rest = frozenset(range(self.d))
+        order = []
+        while len(rest) > 1:
+            order.append(by_union[rest].b)
+            rest = rest - {order[-1]}
+        return [*rest, *reversed(order)]
 
     def inverse_rosenblatt(self, W, Z):
         """Map uniform seeds through the vine's inverse Rosenblatt transform."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        Z = self._check_Z(Z)
-        if W.shape[1] != self.d:
-            raise InterfaceError(f"W width {W.shape[1]} does not match dimension {self.d}")
-        if W.shape[0] != Z.shape[0]:
-            raise InterfaceError("W and Z must have the same number of rows")
+        W, Z = self._check_UZ(W, Z, "W")
         values = {}
-        cache = {}
-        for k, (x, chain) in enumerate(self._sampling_plan()):
+        F = self._cdf(values, Z)
+        order = self._order()
+        for k, x in enumerate(order):
+            chain, cond = [], tuple(sorted(order[:k]))
+            while cond:
+                chain.append(self._index[(x, cond)])
+                cond = chain[-1].cond
             q = _clamp_unit(W[:, k])
-            for e in reversed(chain):
+            for e in chain:
                 fit = self._by_edge[e]
-                c = e.b if x == e.a else e.a
-                arg = self._cond_cdf(c, e.cond, values, Z, cache)
-                tau = predict_tau(fit, Z)
-                q = hinv(fit.family, "1|2" if x == e.a else "2|1", q, arg, tau)
+                arg = F(e.b if x == e.a else e.a, e.cond)
+                q = hinv(fit.family, "1|2" if x == e.a else "2|1", q, arg, predict_tau(fit, Z))
             values[x] = np.asarray(q, dtype=float)
         U = np.empty_like(W)
         for v, col in values.items():
@@ -422,24 +410,17 @@ class ConditionalVineModel:
         return U
 
     def rosenblatt(self, U, Z):
-        """Forward Rosenblatt transform; inverse of :meth:`inverse_rosenblatt`."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        Z = self._check_Z(Z)
-        values = {v: _clamp_unit(U[:, v]) for v in range(self.d)}
-        cache = {}
+        """Forward Rosenblatt transform; inverse of :meth:`inverse_rosenblatt`.
+
+        Column k is F(x_k | x_0, ..., x_{k-1}) in the order of
+        :meth:`inverse_rosenblatt`, clamped into [U_EPS, 1 - U_EPS].
+        """
+        U, Z = self._check_UZ(U, Z)
+        F = self._cdf(_columns(U), Z)
+        order = self._order()
         W = np.empty_like(U)
-        for k, (x, chain) in enumerate(self._sampling_plan()):
-            q = values[x]
-            for e in chain:
-                fit = self._by_edge[e]
-                c = e.b if x == e.a else e.a
-                arg = self._cond_cdf(c, e.cond, values, Z, cache)
-                tau = predict_tau(fit, Z)
-                if x == e.a:
-                    q = hfunc(fit.family, "1|2", q, arg, tau)
-                else:
-                    q = hfunc(fit.family, "2|1", arg, q, tau)
-            W[:, k] = q
+        for k, x in enumerate(order):
+            W[:, k] = F(x, tuple(sorted(order[:k])))
         return W
 
     def sample(self, Z, seed):
@@ -496,7 +477,8 @@ class ConditionalVineModel:
         if violations:
             raise InterfaceError(f"model: {'; '.join(violations)}")
         names = _field(obj, "covariate_names", tuple, "model")
-        level = _field(obj, "truncation_level", lambda v: v if v is None else int(v), "model")
+        level = _field(obj, "truncation_level",
+                       lambda v: v if v is None else _check_level(int(v), d, ValueError), "model")
         models = []
         for tree in structure.trees:
             fits = []
@@ -576,7 +558,9 @@ def fit_vine(
     by that row's covariates.  ``edge_families`` (a list of per-tree lists)
     pins one family per edge; ``deselect=False`` requires it and fits each
     edge with ``fit_family(..., refit=False)`` (early stopping, no
-    deselection or refit).  An edge's fit error propagates as the same
+    deselection or refit).  ``truncation_level`` (None, or 1 to d - 1, else
+    :class:`ConfigurationError`) fits only that many trees and sets the
+    edges above them to independence.  An edge's fit error propagates as the same
     exception object with the edge label prefixed to its message, so
     ``FitError.diagnostics`` survives.
     """
@@ -591,7 +575,7 @@ def fit_vine(
     if covariate_names is None:
         covariate_names = tuple(f"z{j}" for j in range(Z.shape[1]))
 
-    levels = len(structure.trees) if truncation_level is None else min(truncation_level, len(structure.trees))
+    levels = len(structure.trees) if truncation_level is None else _check_level(truncation_level, structure.d)
 
     def fit_edge(t, i, pairs):
         if edge_families is not None:
@@ -603,20 +587,18 @@ def fit_vine(
             return bst.fit_pair(pairs, Z, families, control, criterion=criterion)
         raise ConfigurationError("deselect=False requires edge_families")
 
-    models = []
-    fit_of = {}
-    pseudo = {}
-    for e in structure.trees[0]:
-        pseudo[e] = (_clamp_unit(U[:, e.a]), _clamp_unit(U[:, e.b]))
+    # fit_of fills tree by tree; an edge's pseudo-observations need only the
+    # fits of the trees below it
+    models, fit_of, cache = [], {}, {}
+    index, h, values = _edge_index(structure.trees), _fitted_h(fit_of, Z), _columns(U)
     for t, tree in enumerate(structure.trees):
         if t >= levels:
             models.append([FittedPairCopula.independence(Z.shape[1]) for _ in tree])
             continue
-        if t > 0:
-            _propagate_tree(tree, structure.trees[t - 1], fit_of, pseudo, Z)
         for i, e in enumerate(tree):
+            pairs = np.column_stack([_cond_cdf(v, e.cond, index, h, values, cache) for v in (e.a, e.b)])
             try:
-                fit_of[e] = fit_edge(t, i, np.column_stack(pseudo[e]))
+                fit_of[e] = fit_edge(t, i, pairs)
             except Exception as exc:
                 head = f"edge {e.label()}"
                 exc.args = ((f"{head}: {exc.args[0]}",) + exc.args[1:]) if exc.args else (head,)
@@ -632,10 +614,10 @@ def fit_vine(
 
 
 def truncate(model, level):
-    """Replace all pair copulas above the given tree level by independence."""
-    d = model.d
-    if not 1 <= level <= d - 1:
-        raise ConfigurationError(f"truncation level must lie in [1, {d - 1}]")
+    """Replace all pair copulas above the given tree level by independence.
+
+    The level must lie in 1 … d - 1 (else :class:`ConfigurationError`).
+    """
     models = []
     for t, fits in enumerate(model.models):
         if t < level:
@@ -680,71 +662,36 @@ def select_structure(U):
     if n < 30:
         raise ConfigurationError("structure selection needs at least 30 observations")
 
-    cols = {v: _clamp_unit(U[:, v]) for v in range(d)}
+    # the recursion of the model, with a Gaussian h at the τ̂ of each chosen edge
+    values, index, tau_hat, cache = _columns(U), {}, {}, {}
 
-    def gauss_h(which, ua, ub, tau):
-        theta = float(np.clip(tau_to_theta(CopulaFamily.GAUSSIAN, tau), -0.999, 0.999))
+    def gauss_h(e, which, ua, ub):
+        theta = float(np.clip(tau_to_theta(CopulaFamily.GAUSSIAN, tau_hat[e]), -0.999, 0.999))
         t = 2.0 / np.pi * np.arcsin(theta)
         return _clamp_unit(hfunc(CopulaFamily.GAUSSIAN, which, ua, ub, t))
 
-    # tree 1 on the raw columns
-    candidates = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            tau = kendalltau(cols[a], cols[b]).statistic
-            candidates.append((abs(tau), (a, b), {"nodes": (a, b), "edge": VineEdge(a, b), "tau": tau}))
-    chosen = _kruskal_max(list(range(d)), candidates)
-
+    # tree t + 1 joins two edges of tree t, given by their unions, whose
+    # unions share t variables; tree 1 joins single variables
     trees = []
-    # per selected edge: (ua, ub, tau_hat)
-    fitted = {}
-    tree_edges = []
-    for payload in chosen:
-        e = payload["edge"]
-        fitted[e] = (cols[e.a], cols[e.b], float(payload["tau"]))
-        tree_edges.append(e)
-    trees.append(tree_edges)
-
-    for t in range(1, d - 1):
-        prev = trees[t - 1]
+    nodes = [frozenset((v,)) for v in range(d)]
+    for t in range(d - 1):
         candidates = []
-        pseudo_cache = {}
-
-        def pseudo_for(var, parent):
-            key = (var, parent)
-            if key in pseudo_cache:
-                return pseudo_cache[key]
-            ua, ub, tau_hat = fitted[parent]
-            which = "1|2" if var == parent.a else "2|1"
-            out = gauss_h(which, ua, ub, tau_hat)
-            pseudo_cache[key] = out
-            return out
-
-        for i in range(len(prev)):
-            for j in range(i + 1, len(prev)):
-                p, q = prev[i], prev[j]
-                inter = p.union & q.union
-                if len(inter) != t:
+        for i in range(len(nodes)):
+            for j in range(i + 1, len(nodes)):
+                p, q = nodes[i], nodes[j]
+                if len(p & q) != t:
                     continue
-                conditioned = sorted(p.union ^ q.union)
-                a, b = conditioned
-                e = VineEdge(a, b, tuple(sorted(inter)))
-                pa = p if a in (p.a, p.b) else q
-                pb = q if pa is p else p
-                ua = pseudo_for(a, pa)
-                ub = pseudo_for(b, pb)
+                e = VineEdge(*sorted(p ^ q), tuple(p & q))
+                ua, ub = (_cond_cdf(v, e.cond, index, gauss_h, values, cache) for v in (e.a, e.b))
                 tau = kendalltau(ua, ub).statistic
-                candidates.append(
-                    (abs(tau), (e.a, e.b, e.cond),
-                     {"nodes": (p, q), "edge": e, "pseudo": (ua, ub), "tau": tau})
-                )
-        chosen = _kruskal_max(prev, candidates)
-        tree_edges = []
-        for payload in chosen:
-            e = payload["edge"]
-            fitted[e] = (*payload["pseudo"], float(payload["tau"]))
-            tree_edges.append(e)
-        trees.append(tree_edges)
+                candidates.append((abs(tau), (e.a, e.b, e.cond), {"nodes": (p, q), "edge": e, "tau": tau}))
+        tree = []
+        for payload in _kruskal_max(nodes, candidates):
+            tree.append(payload["edge"])
+            tau_hat[payload["edge"]] = float(payload["tau"])
+        index.update(_edge_index([tree]))
+        trees.append(tree)
+        nodes = [e.union for e in tree]
 
     structure = VineStructure.from_edges(d, trees)
     _require_valid(structure)

@@ -366,12 +366,12 @@ class TestStopping:
 class TestDeselect:
     def test_never_selected_is_dropped(self):
         path = synthetic_path([1, 1, 2], [1.0, 0.8, 0.7, 0.65])
-        kept = B.deselect(path, m_opt=3, gamma=0.0001)
+        kept = B.deselect(path, gamma=0.0001)
         assert 3 not in kept
 
     def test_single_covariate_takes_all_credit(self):
         path = synthetic_path([2, 2, 2], [1.0, 0.8, 0.7, 0.65], has_intercept=False)
-        kept = B.deselect(path, m_opt=3, gamma=0.5, protect_intercept=False)
+        kept = B.deselect(path, gamma=0.5, protect_intercept=False)
         assert list(kept) == [2]
 
     def test_partition_of_total_reduction(self):
@@ -383,21 +383,14 @@ class TestDeselect:
     def test_nonpositive_reduction_keeps_intercept_only(self):
         path = synthetic_path([1, 2], [1.0, 1.0, 1.0])
         with pytest.warns(UserWarning):
-            kept = B.deselect(path, m_opt=2, gamma=0.01)
+            kept = B.deselect(path, gamma=0.01)
         assert list(kept) == [0]
 
     def test_threshold_rule_matches_definition(self):
         # R_1 = 0.2 + 0.05, R_2 = 0.01; total = 0.26
         path = synthetic_path([1, 1, 2], [1.0, 0.8, 0.75, 0.74])
-        kept = B.deselect(path, m_opt=3, gamma=0.05)
+        kept = B.deselect(path, gamma=0.05)
         assert 1 in kept and 2 not in kept
-
-    def test_through_m_opt_switch(self):
-        # covariate 2 only contributes after m_opt
-        path = synthetic_path([1, 1, 2], [1.0, 0.8, 0.75, 0.55])
-        full = B.deselect(path, m_opt=2, gamma=0.05, through_m_opt=False)
-        trunc = B.deselect(path, m_opt=2, gamma=0.05, through_m_opt=True)
-        assert 2 in full and 2 not in trunc
 
 
 class TestFitPair:

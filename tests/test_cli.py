@@ -289,16 +289,19 @@ class TestManifest:
 
 
 # One row per malformed input: (command, file to corrupt, its contents, where
-# the message points after the file name).
+# the message points after the file name).  A target starting with "--" is a
+# flag given the contents as its value; the message must then contain
+# ``where``.
 GOOD_DATA = "u1,u2,u3\n0.2,0.3,0.4\n0.5,0.6,0.7\n0.8,0.1,0.3\n0.4,0.9,0.6\n"
 GOOD_COVARIATES = "z1\n0.1\n-0.4\n1.2\n0.3\n"
 GOOD_FORECASTS = "time,method,member,y1,y2\n" + "".join(
     f"{t},m1,{k},{0.1 * k},{0.2 * t}\n" for t in range(2) for k in range(3)
 )
 GOOD_OBSERVATIONS = "time,y1,y2\n0,0.1,0.2\n1,0.3,0.4\n"
+GOOD_STRUCTURE = json.dumps(dvine_structure([0, 1, 2]).to_dict())
 
 
-def model_json(edit=None):
+def model_json(edit=None, truncation_level=None):
     """A 3-variable D-vine model document on (intercept, z1), optionally edited."""
     model = ConditionalVineModel.from_coefficients(
         dvine_structure([0, 1, 2]),
@@ -307,6 +310,7 @@ def model_json(edit=None):
         covariate_names=("(intercept)", "z1"),
     )
     obj = model.to_dict()
+    obj["truncation_level"] = truncation_level
     if edit is not None:
         edit(obj["trees"])
     return json.dumps(obj)
@@ -332,6 +336,10 @@ MALFORMED = [
      ": model edge 1,2: missing key 'kept'"),
     ("sample", "model", model_json(lambda trees: trees[0][1].update(beta=[0.3])),
      ": model edge 1,2: key 'beta'"),
+    ("sample", "model", model_json(truncation_level=0), ": model: key 'truncation_level'"),
+    ("sample", "model", model_json(truncation_level=-2), ": model: key 'truncation_level'"),
+    ("fit", "--truncate", "0", "truncation level must lie in [1, 2]"),
+    ("fit", "--truncate", "3", "truncation level must lie in [1, 2]"),
 ]
 
 
@@ -341,12 +349,15 @@ MALFORMED = [
          "observations-empty", "observations-blank-row", "observations-short-row",
          "observations-duplicate-time", "forecasts-nan", "observations-inf",
          "model-unknown-family", "model-missing-edge", "model-missing-beta",
-         "model-missing-kept", "model-beta-length"],
+         "model-missing-kept", "model-beta-length", "model-truncation-zero",
+         "model-truncation-negative", "fit-truncate-zero", "fit-truncate-above-d"],
 )
 def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):
-    files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES,
+    files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES, "structure": GOOD_STRUCTURE,
              "forecasts": GOOD_FORECASTS, "observations": GOOD_OBSERVATIONS, "model": model_json()}
-    files[target] = contents
+    flags = [target, contents] if target.startswith("--") else []
+    if not flags:
+        files[target] = contents
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.csv"
@@ -354,7 +365,8 @@ def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, t
     if command == "fit":
         outputs = [tmp_path / "m.json", tmp_path / "r.csv"]
         args = ["fit", "--data", paths["data"], "--covariates", paths["covariates"],
-                "--m-stop", 5, "--out-model", outputs[0], "--out-report", outputs[1]]
+                "--structure", paths["structure"], "--m-stop", 5,
+                "--out-model", outputs[0], "--out-report", outputs[1], *flags]
     elif command == "sample":
         outputs = [tmp_path / "u.csv"]
         args = ["sample", "--model", paths["model"], "--covariates", paths["covariates"],
@@ -364,5 +376,5 @@ def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, t
         args = ["score", "--forecasts", paths["forecasts"], "--observations", paths["observations"],
                 "--out-scores", outputs[0], "--out-dm", outputs[1]]
     assert run(args) == 2
-    assert f"{paths[target]}{where}" in caplog.text
+    assert (where if flags else f"{paths[target]}{where}") in caplog.text
     assert not any(path.exists() for path in outputs)

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.special import ndtr
 from scipy.stats import kendalltau, kstest, qmc, rankdata
 
 import vineboost
 from vineboost.boosting import BoostControl, fit_pair, predict_tau
 from vineboost.errors import ConfigurationError, FitError, InterfaceError, StructureError
-from vineboost.families import CopulaFamily, FIT_FAMILIES, sample_pair
+from vineboost.families import CopulaFamily, FIT_FAMILIES, U_EPS, log_density, sample_pair
 from vineboost.simulation import benchmark_rvine_structure
 from vineboost.vine import (
     ConditionalVineModel,
@@ -327,6 +330,8 @@ class TestTruncateAndSerialize:
             truncate(model, 0)
         with pytest.raises(ConfigurationError):
             truncate(model, 3)
+        with pytest.raises(ConfigurationError):
+            ConditionalVineModel(model.structure, model.models, model.covariate_names, truncation_level=-1)
 
     def test_json_roundtrip_bit_exact(self):
         rng = np.random.default_rng(22)
@@ -361,3 +366,97 @@ class TestTruncateAndSerialize:
         assert full - level2 < 0.01  # truncation costs almost nothing
         level1 = truncate(model, 1).log_density(U, Z).mean()
         assert full - level1 > 0.02  # dropping tree 2 is visibly worse
+
+
+ALL_FAMILIES = (CopulaFamily.INDEPENDENCE,) + tuple(FIT_FAMILIES)
+random_vines = given(d=hst.integers(3, 8), seed=hst.integers(0, 2**32 - 1))
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def random_vine_model(d, seed, n=64):
+    """A model on a ``select_structure`` vine with random families and β.
+
+    The structure is selected on Gaussian-copula data with random
+    correlations; covariates are an intercept and two columns in [-1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    cov = A @ A.T + 0.5 * np.eye(d)
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    X = rng.standard_normal((200, d)) @ np.linalg.cholesky(corr).T
+    structure = select_structure(ndtr(X))
+    n_edges = d * (d - 1) // 2
+    families = [ALL_FAMILIES[i] for i in rng.integers(len(ALL_FAMILIES), size=n_edges)]
+    betas = [np.r_[rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3, 2)] for _ in range(n_edges)]
+    model = ConditionalVineModel.from_coefficients(structure, families, betas)
+    Z = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, 2))])
+    return model, Z, rng
+
+
+
+class TestRandomVineProperties:
+    """The conditional-CDF recursion on random regular vines (d = 3-8)."""
+
+    @random_vines
+    @PROPERTY
+    def test_structure_is_valid(self, d, seed):
+        model, _, _ = random_vine_model(d, seed)
+        assert validate_structure(model.structure) == []
+
+    @random_vines
+    @PROPERTY
+    def test_rosenblatt_roundtrip(self, d, seed):
+        model, Z, rng = random_vine_model(d, seed)
+        W = rng.random((len(Z), d))
+        U = model.inverse_rosenblatt(W, Z)
+        np.testing.assert_allclose(model.rosenblatt(U, Z), W, rtol=0, atol=1e-6)
+
+    @random_vines
+    @PROPERTY
+    def test_json_roundtrip_bit_exact(self, d, seed):
+        model, Z, rng = random_vine_model(d, seed)
+        text = model.to_json()
+        reloaded = ConditionalVineModel.from_json(text)
+        assert reloaded.to_json() == text
+        U = rng.random((len(Z), d))
+        np.testing.assert_array_equal(reloaded.log_density(U, Z), model.log_density(U, Z))
+
+    @random_vines
+    @PROPERTY
+    def test_log_density_is_sum_of_edge_densities(self, d, seed):
+        model, Z, rng = random_vine_model(d, seed)
+        level = int(rng.integers(1, d))
+        U = rng.random((len(Z), d))
+        for m in (model, truncate(model, level)):
+            pseudo = m.pseudo_observations(U, Z)
+            assert len(pseudo) == sum(len(tree) for tree in m.structure.trees[: m.truncation_level])
+            expected = np.zeros(len(Z))
+            for e, (ua, ub) in pseudo.items():
+                fit = m.pair_model(e)
+                expected += log_density(fit.family, ua, ub, predict_tau(fit, Z))
+            np.testing.assert_allclose(m.log_density(U, Z), expected, rtol=1e-12)
+
+    @random_vines
+    @PROPERTY
+    def test_rosenblatt_stays_inside_clamp(self, d, seed):
+        model, Z, rng = random_vine_model(d, seed)
+        # values on and beyond the clamp bounds as well as interior ones
+        U = rng.choice([0.0, 1e-13, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-13, 1.0], size=(len(Z), d))
+        W = model.rosenblatt(U, Z)
+        assert np.all((W >= U_EPS) & (W <= 1.0 - U_EPS))
+
+
+class TestDataChecks:
+    @pytest.mark.parametrize("method", ["pseudo_observations", "log_density", "rosenblatt",
+                                        "inverse_rosenblatt"])
+    @pytest.mark.parametrize("shape", ["narrow", "wide", "short-Z"])
+    def test_mismatched_data_raises_interface_error(self, method, shape):
+        model = constant_tau_model(benchmark_rvine_structure(), [CopulaFamily.GAUSSIAN] * 10, [0.3] * 10, 2)
+        rng = np.random.default_rng(23)
+        n = 6
+        U = rng.random((n, {"narrow": 4, "wide": 6, "short-Z": 5}[shape]))
+        Z = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        if shape == "short-Z":
+            Z = Z[:-2]
+        with pytest.raises(InterfaceError):
+            getattr(model, method)(U, Z)
