@@ -6,7 +6,7 @@ import pytest
 from vineboost import boosting as B
 from vineboost import families as F
 from vineboost.boosting import BoostControl, BoostPath, FittedPairCopula
-from vineboost.errors import ConfigurationError, InterfaceError
+from vineboost.errors import ConfigurationError, EvaluationError, FitError, InterfaceError
 from vineboost.families import CopulaFamily
 
 TRUE_BETA6 = np.array([0.1, -0.2, 0.3, 0.2, 0.5, -0.4])
@@ -122,6 +122,12 @@ class TestBoost:
         with pytest.raises(InterfaceError):
             B.boost(np.full((10, 2), 0.5), np.ones((9, 2)), CopulaFamily.GAUSSIAN, BoostControl())
 
+    @pytest.mark.parametrize("selectable, bad", [((0, -1), "-1"), ((1.5,), "1.5"), ((2, 7), "7")])
+    def test_selectable_index_checked(self, selectable, bad):
+        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 100, 5, 0.2, seed=8, beta=TRUE_BETA6[:5])
+        with pytest.raises(ConfigurationError, match=rf"selectable index {bad} is not a column index in \[0, 4\]"):
+            B.boost(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl(m_stop=5), selectable=selectable)
+
 
 def reference_boost(pairs, Z, family, control, selectable=None):
     """The boosting loop on the elementwise functions, as the fused path's reference."""
@@ -220,6 +226,120 @@ class TestFusedPath:
             eta = Zs @ path.beta_std_at(m)
             total = np.sum(F.log_density(fam, u1, u2, F.link_tau(eta)))
             assert held[m] == pytest.approx(-total / len(fold), rel=1e-12)
+
+
+def sign_changing_data(family, p):
+    """The parity-gate data: negative intercept and slopes make tau change sign."""
+    beta = np.array([-0.1, -0.4, 0.3, 0.6, 0.5, -0.4])
+    return simulate_pair_data(family, 300, p, 0.3, seed=31, beta=beta)
+
+
+# Each shape once as fitted (designs this small boost each family alone)
+# and once forced onto the shared loop with one GEMM per iteration.
+BATCHED_SHAPES = [(21, False), (21, True), (201, False), (201, True)]
+
+
+def share_gemm(monkeypatch, gemm):
+    if gemm:
+        monkeypatch.setattr(B, "_GEMM_MIN_BYTES", 0)
+
+
+class TestFamilyBatched:
+    """The candidate families boosted together against one-family GEMV loops."""
+
+    @pytest.mark.parametrize("p, gemm", BATCHED_SHAPES)
+    @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
+    def test_paths_match_reference_loop(self, monkeypatch, fam, p, gemm):
+        share_gemm(monkeypatch, gemm)
+        pairs, Z = sign_changing_data(fam, p)
+        control = BoostControl(m_stop=150, nu=0.3)
+        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        for family, fit in fits.items():
+            selected, risk, active = reference_boost(pairs, Z, family, control)
+            np.testing.assert_array_equal(fit.risk_path.selected, selected)
+            np.testing.assert_array_equal(fit.risk_path.active_size, active)
+            np.testing.assert_allclose(fit.risk_path.risk, risk, rtol=1e-12, atol=0.0)
+            # The refit scans only the survivor columns, which sums in another
+            # order: on a one-survivor refit whose risk is near 0 (2.3e-4) that
+            # moves the risk by 6.8e-16, hence the absolute floor.
+            assert fit.m_opt > 0
+            refit = replace(control, m_stop=fit.m_opt)
+            selected, risk, active = reference_boost(pairs, Z, family, refit, fit.survivors)
+            np.testing.assert_array_equal(fit.refit_path.selected, selected)
+            np.testing.assert_array_equal(fit.refit_path.active_size, active)
+            np.testing.assert_allclose(fit.refit_path.risk, risk, rtol=1e-12, atol=1e-15)
+        winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
+        assert winner.selection_scores == {f.value: fit.aic for f, fit in fits.items()}
+        np.testing.assert_array_equal(winner.beta, fits[winner.family].beta)
+
+
+def failing_prepare(prepare, failing, at, made=None):
+    """``prepare`` whose kernels count their gradient evaluations and, for
+    ``failing`` families, raise at iteration ``at``; each kernel is also
+    appended to ``made``."""
+
+    class Kernel:
+        def __init__(self, kernel):
+            self.kernel, self.calls = kernel, 0
+
+        def value_and_grad(self, eta):
+            self.calls += 1
+            if self.kernel.family in failing and self.calls > at:
+                raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {at}")
+            return self.kernel.value_and_grad(eta)
+
+        def log_density(self, eta):
+            return self.kernel.log_density(eta)
+
+    def patched(family, u1, u2):
+        kernel = Kernel(prepare(family, u1, u2))
+        if made is not None:
+            made.append(kernel)
+        return kernel
+
+    return patched
+
+
+class TestCandidateFailure:
+    """A family whose kernel raises inside the batched loop drops out alone."""
+
+    @pytest.mark.parametrize("p, gemm", BATCHED_SHAPES)
+    def test_other_families_fit_as_alone(self, monkeypatch, p, gemm):
+        share_gemm(monkeypatch, gemm)
+        pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, p)
+        # at nu = 0.1 no risk rises here, so the other families stay in the
+        # shared loop after the failing one drops out
+        control = BoostControl(m_stop=100)
+        bad = CopulaFamily.CLAYTON_I
+        solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
+        made = []
+        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, {bad}, at=17, made=made))
+        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        assert isinstance(fits[bad], EvaluationError)
+        for family, alone in solo.items():
+            fit = fits[family]
+            # one main path and one refit: no family was boosted twice
+            (kernel,) = [k for k in made if k.kernel.family == family]
+            assert kernel.calls == control.m_stop + fit.refit_path.m_stop
+            np.testing.assert_array_equal(fit.risk_path.selected, alone.risk_path.selected)
+            np.testing.assert_allclose(fit.risk_path.risk, alone.risk_path.risk, rtol=1e-12, atol=0.0)
+            # same survivors and m_opt give the same refit, bit for bit
+            assert (fit.m_opt, fit.survivors, fit.kept) == (alone.m_opt, alone.survivors, alone.kept)
+            np.testing.assert_array_equal(fit.beta, alone.beta)
+            assert fit.aic == alone.aic
+        winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
+        assert set(winner.selection_scores) == {f.value for f in solo}
+        with pytest.raises(EvaluationError, match="claytonI kernel failed at iteration 17"):
+            B.fit_family(pairs, Z, bad, control)
+
+    def test_every_family_failing_is_one_fit_error(self, monkeypatch):
+        pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
+        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, set(F.FIT_FAMILIES), at=17))
+        with pytest.raises(FitError) as info:
+            B.fit_pair(pairs, Z, F.FIT_FAMILIES, BoostControl(m_stop=100, nu=0.3))
+        assert info.value.diagnostics == {
+            f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17")) for f in F.FIT_FAMILIES
+        }
 
 
 def assert_cv_matches_reference(pairs, Z, family, control):
