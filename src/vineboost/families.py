@@ -412,21 +412,42 @@ def _gumbel_h_1g2(u, v, theta):
 
 def _gumbel_root(b, lo, theta):
     # Solve g(T) = T + (theta-1)*log(T) = b on [lo, max(1, b)]; g is increasing.
+    # Each element stops at its first iterate within tolerance, so its root does
+    # not depend on the other elements of the call. Converged elements stay in
+    # the working arrays, frozen, until at most half of them are live: dropping
+    # them every iteration would allocate more than the full arrays hold.
+    shape = b.shape
+    b, lo, tm1 = b.ravel(), lo.ravel(), (theta - 1.0).ravel()
     hi = np.maximum(np.maximum(1.0, b), lo)
     T = np.clip(b, lo, hi)
     lo = lo.copy()
-    hi = hi.copy()
+    tol = 1e-14 * (1.0 + np.abs(b))
+    live = np.ones(T.size, dtype=bool)
+    out, rows = T, None  # rows: positions in out of the working elements
     for _ in range(80):
-        g = T + (theta - 1.0) * np.log(T) - b
-        lo = np.where(g < 0.0, T, lo)
-        hi = np.where(g >= 0.0, T, hi)
-        if np.all(np.abs(g) <= 1e-14 * (1.0 + np.abs(b))):
+        g = T + tm1 * np.log(T) - b
+        live &= ~(np.abs(g) <= tol)
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
             break
-        step = g / (1.0 + (theta - 1.0) / T)
-        T_new = T - step
+        if 2 * n_live <= live.size:
+            if rows is None:
+                out, rows = T, np.flatnonzero(live)
+            else:
+                out[rows] = T
+                rows = rows[live]
+            b, lo, hi, T, tm1, tol, g = (a[live] for a in (b, lo, hi, T, tm1, tol, g))
+            live = np.ones(n_live, dtype=bool)
+        np.copyto(lo, T, where=g < 0.0)
+        np.copyto(hi, T, where=g >= 0.0)
+        T_new = T - g / (1.0 + tm1 / T)
         inside = (T_new > lo) & (T_new < hi)
-        T = np.where(inside, T_new, 0.5 * (lo + hi))
-    return T
+        np.copyto(T, np.where(inside, T_new, 0.5 * (lo + hi)), where=live)
+    if rows is None:
+        out = T
+    else:
+        out[rows] = T
+    return out.reshape(shape)
 
 
 def _gumbel_hinv_2g1(w, u, theta):

@@ -40,11 +40,17 @@ def _members_obs(forecast, obs):
     y = np.asarray(obs, dtype=float)
     if x.ndim != 2:
         raise InterfaceError("forecast must be an (m, d) array of ensemble members")
+    if x.shape[0] < 1:
+        raise InterfaceError("forecast needs at least one ensemble member")
     if y.shape != (x.shape[1],):
         raise InterfaceError(f"observation must be a length-{x.shape[1]} vector")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InterfaceError("forecast and observation must be finite")
     return x, y
+
+
+def _row_norms(a):
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def energy_score(forecast, obs, method="pairwise"):
@@ -57,19 +63,26 @@ def energy_score(forecast, obs, method="pairwise"):
     """
     x, y = _members_obs(forecast, obs)
     m = x.shape[0]
-    accuracy = np.mean(np.linalg.norm(x - y, axis=1))
+    accuracy = np.mean(_row_norms(x - y))
     if method == "pairwise":
-        # blocked double sum keeps memory at O(block * m)
-        block = max(1, int(2**22 // max(1, m)))
+        # blocked double sum keeps memory at O(block * m); the squared
+        # distances accumulate one coordinate at a time
+        block = max(1, int(2**22 // m))
         total = 0.0
         for start in range(0, m, block):
             part = x[start : start + block]
-            total += np.sum(np.linalg.norm(part[:, None, :] - x[None, :, :], axis=2))
+            sq = np.zeros((len(part), m))
+            diff = np.empty_like(sq)
+            for k in range(x.shape[1]):
+                np.subtract(part[:, k, None], x[:, k], out=diff)
+                diff *= diff
+                sq += diff
+            total += np.sum(np.sqrt(sq, out=sq))
         spread = total / (2.0 * m * m)
     elif method == "consecutive":
         if m < 2:
             raise ConfigurationError("the consecutive-pair form needs at least 2 members")
-        spread = np.sum(np.linalg.norm(x[:-1] - x[1:], axis=1)) / (2.0 * (m - 1))
+        spread = np.sum(_row_norms(x[:-1] - x[1:])) / (2.0 * (m - 1))
     else:
         raise ConfigurationError(f"unknown energy score method {method!r}")
     return float(accuracy - spread)
@@ -204,10 +217,7 @@ def gca_sample(corr, m, seed):
     return ndtr(z)
 
 
-def _pre_ranks(pool):
-    """Componentwise domination counts of each pooled vector."""
-    le = np.all(pool[:, None, :] <= pool[None, :, :], axis=2)
-    return le.sum(axis=0)
+_RANK_BLOCK = 256  # cases per domination test: a (256, m+1, m+1) bool array
 
 
 def mv_rank_histogram(forecasts, observations, seed):
@@ -215,26 +225,36 @@ def mv_rank_histogram(forecasts, observations, seed):
 
     Each case pools the observation with the m ensemble members, computes
     componentwise domination pre-ranks, and draws the observation's rank
-    uniformly among its pre-rank ties (seeded).  Returns the counts per
-    rank.
+    uniformly among its pre-rank ties (seeded, one draw per case in case
+    order).  Returns the counts per rank.
     """
     if len(forecasts) != len(observations):
         raise InterfaceError("need one observation per forecast case")
     if len(forecasts) == 0:
         raise InterfaceError("need at least one case")
-    rng = np.random.default_rng(seed)
-    m = np.asarray(forecasts[0]).shape[0]
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for members, obs in zip(forecasts, observations):
-        x, y = _members_obs(members, obs)
+    cases = [_members_obs(members, obs) for members, obs in zip(forecasts, observations)]
+    m, d = cases[0][0].shape
+    for x, _ in cases:
         if x.shape[0] != m:
             raise InterfaceError("all cases must share the ensemble size")
-        pool = np.vstack([y[None, :], x])
-        rho = _pre_ranks(pool)
-        below = int(np.sum(rho < rho[0]))
-        ties = int(np.sum(rho[1:] == rho[0]))
-        rank = below + 1 + int(rng.integers(ties + 1))
-        counts[rank - 1] += 1
+        if x.shape[1] != d:
+            raise InterfaceError("all cases must share the dimension")
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for start in range(0, len(cases), _RANK_BLOCK):
+        blk = np.empty((min(_RANK_BLOCK, len(cases) - start), m + 1, d))
+        for i, (x, y) in enumerate(cases[start : start + _RANK_BLOCK]):
+            blk[i, 0] = y
+            blk[i, 1:] = x
+        # le[c, i, j]: pooled vector i is componentwise <= vector j in case c
+        le = np.ones((len(blk), m + 1, m + 1), dtype=bool)
+        for k in range(d):
+            le &= blk[:, :, None, k] <= blk[:, None, :, k]
+        rho = le.sum(axis=1)
+        below = np.sum(rho < rho[:, :1], axis=1)
+        ties = np.sum(rho[:, 1:] == rho[:, :1], axis=1)
+        for b, t in zip(below.tolist(), ties.tolist()):
+            counts[b + rng.integers(t + 1)] += 1
     return counts
 
 

@@ -252,6 +252,80 @@ class TestHInverse:
             assert np.all(np.diff(out) >= 0.0)
 
 
+GUMBELS = [CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II]
+
+
+def _gumbel_root_full(b, lo, theta):
+    """Reference: Newton steps on every element until all meet the tolerance at once."""
+    hi = np.maximum(np.maximum(1.0, b), lo)
+    T = np.clip(b, lo, hi)
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(80):
+        g = T + (theta - 1.0) * np.log(T) - b
+        lo = np.where(g < 0.0, T, lo)
+        hi = np.where(g >= 0.0, T, hi)
+        if np.all(np.abs(g) <= 1e-14 * (1.0 + np.abs(b))):
+            break
+        step = g / (1.0 + (theta - 1.0) / T)
+        T_new = T - step
+        inside = (T_new > lo) & (T_new < hi)
+        T = np.where(inside, T_new, 0.5 * (lo + hi))
+    return T
+
+
+def _interior_inputs(n, seed):
+    # w and the conditioning value away from the clamp, tau of both signs
+    rng = np.random.default_rng(seed)
+    w, uc = rng.uniform(1e-6, 1.0 - 1e-6, (2, n))
+    return w, uc, rng.uniform(-0.95, 0.95, n)
+
+
+def _roundtrip_error(fam, which, out, w, uc, tau):
+    pair = (out, uc) if which == "1|2" else (uc, out)
+    return np.abs(F.hfunc(fam, which, *pair, tau) - w)
+
+
+class TestGumbelRoot:
+    """Per-element Newton convergence against the full-array loop."""
+
+    @pytest.mark.parametrize("fam", GUMBELS)
+    @pytest.mark.parametrize("which", ["1|2", "2|1"])
+    def test_rows_independent_of_batch(self, fam, which):
+        w, uc, tau = _interior_inputs(200, 21)
+        full = F.hinv(fam, which, w, uc, tau)
+        rng = np.random.default_rng(22)
+        for rows in (rng.permutation(200)[:37], np.arange(0, 200, 7), np.flatnonzero(tau < 0.0)):
+            np.testing.assert_array_equal(F.hinv(fam, which, w[rows], uc[rows], tau[rows]), full[rows])
+        one = [F.hinv(fam, which, w[i], uc[i], tau[i]) for i in range(200)]
+        np.testing.assert_array_equal(one, full)
+
+    @pytest.mark.parametrize("fam", GUMBELS)
+    @pytest.mark.parametrize("which", ["1|2", "2|1"])
+    def test_hinv_matches_full_array_loop(self, fam, which, monkeypatch):
+        w, uc, tau = _interior_inputs(20_000, 23)
+        out = F.hinv(fam, which, w, uc, tau)
+        monkeypatch.setattr(F, "_gumbel_root", _gumbel_root_full)
+        expected = F.hinv(fam, which, w, uc, tau)
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=0.0)
+        new_err = _roundtrip_error(fam, which, out, w, uc, tau)
+        old_err = _roundtrip_error(fam, which, expected, w, uc, tau)
+        assert np.max(new_err) <= np.max(old_err)
+
+    def test_every_root_meets_the_tolerance(self):
+        # clamped extremes included: w and u down to the 1e-10 clamp, theta to the cap
+        rng = np.random.default_rng(24)
+        n = 50_000
+        x = -np.log(10.0 ** rng.uniform(-10.0, np.log10(1.0 - 1e-10), n))
+        theta = 10.0 ** rng.uniform(0.0, np.log10(50.0), n)
+        b = x + (theta - 1.0) * np.log(x) - np.log(10.0 ** rng.uniform(-10.0, 0.0, n))
+        T = F._gumbel_root(b, x, theta)
+        g = T + (theta - 1.0) * np.log(T) - b
+        assert np.all(np.abs(g) <= 1e-14 * (1.0 + np.abs(b)))
+        assert np.all(T >= x)
+        assert F._gumbel_root(b[:0], x[:0], theta[:0]).shape == (0,)
+
+
 class TestSamplePair:
     def test_independence(self):
         U = F.sample_pair(CopulaFamily.GAUSSIAN, 0.0, 100_000, seed=5)

@@ -43,6 +43,54 @@ class TestEnergyScore:
             S.energy_score(np.zeros((5, 3)), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda f, y: S.energy_score(f, y),
+        lambda f, y: S.energy_score(f, y, "consecutive"),
+        lambda f, y: S.variogram_score(f, y),
+        lambda f, y: S.mv_rank_histogram([f], [y], seed=0),
+    ],
+    ids=["energy", "energy-consecutive", "variogram", "rank-histogram"],
+)
+def test_empty_ensemble_rejected(score):
+    with pytest.raises(InterfaceError, match="at least one ensemble member"):
+        score(np.zeros((0, 3)), np.zeros(3))
+
+
+def _energy_score_norm(forecast, obs, method="pairwise"):
+    """Reference: the energy score through np.linalg.norm on difference cubes."""
+    x = np.asarray(forecast, dtype=float)
+    y = np.asarray(obs, dtype=float)
+    m = x.shape[0]
+    accuracy = np.mean(np.linalg.norm(x - y, axis=1))
+    if method == "pairwise":
+        total = 0.0
+        for start in range(0, m, 64):
+            part = x[start : start + 64]
+            total += np.sum(np.linalg.norm(part[:, None, :] - x[None, :, :], axis=2))
+        spread = total / (2.0 * m * m)
+    else:
+        spread = np.sum(np.linalg.norm(x[:-1] - x[1:], axis=1)) / (2.0 * (m - 1))
+    return accuracy - spread
+
+
+class TestEnergyScoreParity:
+    """The column-accumulated energy score against the norm-of-differences form."""
+
+    @pytest.mark.parametrize(
+        "m, method",
+        [(m, "pairwise") for m in (1, 2, 50, 3000)] + [(m, "consecutive") for m in (2, 50, 3000)],
+    )
+    @pytest.mark.parametrize("d", [1, 5, 9])
+    def test_matches_norm_form(self, m, method, d):
+        rng = np.random.default_rng(100 * m + d)
+        x = rng.standard_normal((m, d))
+        y = rng.standard_normal(d)
+        expected = _energy_score_norm(x, y, method)
+        assert S.energy_score(x, y, method) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestVariogramScore:
     def test_perfect_match(self):
         x = np.tile([1.0, 2.0, 3.0], (7, 1))
@@ -223,10 +271,54 @@ class TestRankHistogram:
         np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self):
-        with pytest.raises(InterfaceError):
-            S.mv_rank_histogram([np.zeros((5, 2))], [np.zeros(2), np.zeros(2)], seed=0)
+        cases = [
+            ([np.zeros((5, 2))], [np.zeros(2), np.zeros(2)], "one observation per"),
+            ([1.0], [1.0], "array of ensemble members"),
+            ([np.zeros((5, 2, 1))], [np.zeros(2)], "array of ensemble members"),
+            ([np.zeros((5, 2))], [np.zeros(3)], "length-2 vector"),
+            ([np.zeros((5, 2)), np.zeros((4, 2))], [np.zeros(2)] * 2, "share the ensemble size"),
+            ([np.zeros((5, 2)), np.zeros((5, 3))], [np.zeros(2), np.zeros(3)], "share the dimension"),
+            # a bad case after a full block of good ones is still rejected
+            ([np.zeros((5, 2))] * 300 + [np.full((5, 2), np.nan)], [np.zeros(2)] * 301, "finite"),
+        ]
+        for forecasts, observations, message in cases:
+            with pytest.raises(InterfaceError, match=message):
+                S.mv_rank_histogram(forecasts, observations, seed=0)
 
     def test_histogram_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
         S.rank_histogram_to_csv(np.array([3, 0, 7]), path)
         assert path.read_text() == "rank,count\n1,3\n2,0\n3,7\n"
+
+
+def _rank_histogram_loop(forecasts, observations, seed):
+    """Reference: pre-ranks and the tie-break draw one case at a time."""
+    rng = np.random.default_rng(seed)
+    m = np.asarray(forecasts[0]).shape[0]
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for members, obs in zip(forecasts, observations):
+        pool = np.vstack([np.asarray(obs, dtype=float)[None, :], np.asarray(members, dtype=float)])
+        rho = np.all(pool[:, None, :] <= pool[None, :, :], axis=2).sum(axis=0)
+        below = int(np.sum(rho < rho[0]))
+        ties = int(np.sum(rho[1:] == rho[0]))
+        counts[below + int(rng.integers(ties + 1))] += 1
+    return counts
+
+
+class TestRankHistogramParity:
+    """Block-vectorized pre-ranks against the per-case loop, count for count."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("decimals", [None, 1], ids=["continuous", "heavy-ties"])
+    @pytest.mark.parametrize("shape", [(600, 20, 3), (300, 50, 5), (40, 7, 1), (30, 4, 0)])
+    def test_matches_per_case_loop(self, seed, decimals, shape):
+        rng = np.random.default_rng(seed)
+        cases, m, d = shape
+        fcs = rng.standard_normal(shape)
+        obss = rng.standard_normal((cases, d))
+        if decimals is not None:
+            fcs, obss = np.round(fcs, decimals), np.round(obss, decimals)
+        expected = _rank_histogram_loop(fcs, obss, seed)
+        np.testing.assert_array_equal(S.mv_rank_histogram(fcs, obss, seed), expected)
+        # lists of per-case arrays take the same path as one stacked array
+        np.testing.assert_array_equal(S.mv_rank_histogram(list(fcs), list(obss), seed), expected)
