@@ -13,7 +13,7 @@ threshold are deselected and the model is boosted again on the survivors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,98 +176,185 @@ def _selectable_columns(selectable, p1):
     return np.unique(np.array(cols, dtype=np.int64))
 
 
-def _boost_paths(kernels, design, control, cols=None):
-    """Boost every family in ``kernels`` (family -> PairKernel) on one design.
+class _Stack:
+    """One family's live edges in :func:`_boost_paths`: its kernel on their
+    rows, their scan columns and linear predictors, and their records, one
+    column per live edge."""
 
-    Each iteration evaluates the kernel once (the log density gives
-    risk[m], the gradient drives step m + 1) and scans the covariates with
-    the matrix-vector product ``Zs.T @ g``.  On a design of at least
-    ``_GEMM_MIN_BYTES`` several families share one loop instead, and one
-    product of their (F, N) gradients with the design scans for all of
-    them.  That product sums in another order, and where a step overshoots
-    (the risk rises) the rounding difference can grow into another path, so
-    such a family is boosted again alone.  ``cols`` restricts the scan to
-    those columns of the design, copied contiguously, and the picks are
-    mapped back to the design's column indices.  Returns family ->
-    :class:`BoostPath`, or family -> the exception that stopped it: a kernel
-    that raises drops out alone and the others go on.
-    """
-    scan = np.arange(design.Zs.shape[1]) if cols is None else cols
-    Zs = design.Zs if cols is None else np.ascontiguousarray(design.Zs[:, cols])
-    colsq_safe, mask = design.colsq_safe[scan], ~design.degenerate[scan]
-    if not np.any(mask):
-        return {family: ConfigurationError("no selectable covariates") for family in kernels}
+    def __init__(self, family, kernel, edges, stop, scan, blocks_T, n):
+        width = scan[0].shape[1]
+        self.family, self.kernel, self.edges, self.stop = family, kernel, edges, stop[edges]
+        self.cols, self.mask, self.colsq = (a[edges] for a in scan)
+        self.blocks_T = [blocks_T[e] for e in edges]
+        self.eta = np.zeros((len(edges), n))
+        self.numer = np.zeros((len(edges), width))
+        self.grad = None
+        m_max = int(self.stop.max())
+        self.selected = np.zeros((m_max, len(edges)), dtype=np.int64)
+        self.increments = np.zeros((m_max, len(edges)))
+        self.risk = np.zeros((m_max + 1, len(edges)))
+        self._index()
 
-    n, p = Zs.shape
-    if len(kernels) > 1 and Zs.nbytes < _GEMM_MIN_BYTES:
-        return {family: _boost_paths({family: kernel}, design, control, cols)[family]
-                for family, kernel in kernels.items()}
+    def _index(self):
+        self.offsets = np.arange(len(self.edges)) * self.numer.shape[1]
+        self.last = int(self.stop.max())
 
-    families, fitted = list(kernels), list(kernels.values())
-    gemm = len(families) > 1
-    m_stop, nu = control.m_stop, control.nu
-    selected = [np.zeros(m_stop, dtype=np.int64) for _ in families]
-    increments = [np.zeros(m_stop) for _ in families]
-    risk = [np.zeros(m_stop + 1) for _ in families]
-    active = [np.zeros(m_stop + 1, dtype=np.int64) for _ in families]
-    beta_std = [np.zeros(p) for _ in families]
-    eta = [np.zeros(n) for _ in families]
-    grads = [None] * len(families)
-    n_active = [0] * len(families)
-    live = list(range(len(families)))
-    out, alone = {}, []
+    def keep(self, rows):
+        """Drop every live edge but those at the positions ``rows``."""
+        self.kernel = _take(self.kernel, rows, len(self.edges))
+        self.blocks_T = [self.blocks_T[i] for i in rows]
+        for name in ("edges", "stop", "cols", "mask", "colsq", "eta", "numer", "grad"):
+            setattr(self, name, getattr(self, name)[rows])
+        for name in ("selected", "increments", "risk"):
+            setattr(self, name, getattr(self, name)[:, rows])
+        self._index()
 
-    def evaluate(m):
-        for i in live.copy():
-            try:
-                if m < m_stop:
-                    logpdf, grads[i] = fitted[i].value_and_grad(eta[i])
-                else:
-                    logpdf = fitted[i].log_density(eta[i])
-            except _CANDIDATE_ERRORS as exc:
-                out[families[i]] = exc
-                live.remove(i)
-                continue
-            risk[i][m] = -np.mean(logpdf)
-            if gemm and m > 0 and risk[i][m] > risk[i][m - 1]:
-                alone.append(families[i])
-                live.remove(i)
+    def scan(self):
+        """``numer`` row e = the exact GEMV Zs.T @ g[e] over edge e's columns."""
+        for Zs_T, g, numer in zip(self.blocks_T, self.grad, self.numer):
+            np.matmul(Zs_T, g, out=numer[: Zs_T.shape[0]])
 
-    evaluate(0)
-    for m in range(1, m_stop + 1):
-        if not live:
-            break
-        numer = np.stack([grads[i] for i in live]) @ Zs if gemm else [Zs.T @ grads[0]]
-        for i, numer_i in zip(live, numer):
-            score = np.where(mask, numer_i * numer_i / colsq_safe, -np.inf)
-            j = int(np.argmax(score))
-            step = nu * numer_i[j] / colsq_safe[j]
-            beta_i = beta_std[i]
-            was_active = beta_i[j] != 0.0
-            beta_i[j] += step
-            n_active[i] += int(beta_i[j] != 0.0) - int(was_active)
-            eta[i] += step * Zs[:, j]
-            selected[i][m - 1] = j
-            increments[i][m - 1] = step
-            active[i][m] = n_active[i]
-        evaluate(m)
+    def step(self, m, nu, Zs):
+        """Iteration m of every live edge, from its scan ``numer`` = Zs.T @ g."""
+        numer, colsq = self.numer, self.colsq
+        score = np.where(self.mask, numer * numer / colsq, -np.inf)
+        at = self.offsets + score.argmax(axis=1)
+        step = nu * numer.take(at) / colsq.take(at)
+        cols = self.cols.take(at)
+        update = Zs[:, cols]
+        update *= step
+        self.eta += update.T
+        self.selected[m - 1] = cols
+        self.increments[m - 1] = step
 
-    for family in alone:
-        out.update(_boost_paths({family: kernels[family]}, design, control, cols))
-    for i in live:
-        out[families[i]] = BoostPath(
-            family=families[i],
-            selected=scan[selected[i]],
-            increments=increments[i],
-            risk=risk[i],
-            active_size=active[i],
+    def path(self, i, design):
+        """The finished path of the live edge at position i."""
+        m = int(self.stop[i])
+        selected, increments = self.selected[:m, i].copy(), self.increments[:m, i].copy()
+        return BoostPath(
+            family=self.family,
+            selected=selected,
+            increments=increments,
+            risk=self.risk[: m + 1, i].copy(),
+            active_size=_active_sizes(selected, increments),
             mu=design.mu,
             sigma=design.sigma,
             has_intercept=design.has_intercept,
             degenerate=design.degenerate,
-            n_obs=n,
+            n_obs=design.Zs.shape[0],
         )
-    return {family: out[family] for family in families}
+
+
+def _active_sizes(selected, increments):
+    """The nonzero coefficients after each iteration of a path, replaying
+    its updates in order."""
+    beta, active = {}, [0]
+    for j, step in zip(selected.tolist(), increments.tolist()):
+        was = beta.get(j, 0.0)
+        beta[j] = now = was + step
+        active.append(active[-1] + (now != 0.0) - (was != 0.0))
+    return np.array(active, dtype=np.int64)
+
+
+def _take(kernel, rows, n_rows):
+    """``kernel`` on its rows ``rows``; the kernel itself when that is all of them."""
+    return kernel if len(rows) == n_rows else kernel.take(rows)
+
+
+def _boost_paths(kernels, design, nu, m_stop, cols=None):
+    """Boost every family in ``kernels`` (family -> PairKernel) on one design.
+
+    Each kernel holds the same E vine edges as (E, N) rows, and edge e runs
+    ``m_stop[e]`` iterations.  Each iteration evaluates a family's kernel
+    once on its (E, N) linear predictor (the log density gives risk[m], the
+    gradient drives step m + 1) and scans the covariates with the
+    matrix-vector product ``Zs.T @ g[e]`` of each edge, so every edge takes
+    the path it takes alone, bit for bit; the coordinate choice and the step
+    are then made for all edges at once.  An edge leaves the stack when it
+    has run its iterations.  ``cols[e]`` restricts edge e's scan to those
+    columns of the design, copied contiguously, and its picks are mapped
+    back to the design's column indices.
+
+    On a design of at least ``_GEMM_MIN_BYTES`` several families share one
+    loop instead, and one product of all their gradient rows with the design
+    scans for all of them.  That product sums in another order, and where a
+    step overshoots (the risk rises) the rounding difference can grow into
+    another path, so such an edge is boosted again alone.
+
+    Returns family -> one :class:`BoostPath` per edge, or the exception that
+    stopped it.  A kernel that raises drops its family out of the loop and
+    the others go on; a family stacking several edges is then boosted again
+    one edge at a time, so each edge ends with the path or the error it has
+    alone.
+    """
+    n_edges = len(m_stop)
+    n, p1 = design.Zs.shape
+    scans = [np.arange(p1)] * n_edges if cols is None else list(cols)
+    gemm = cols is None and len(kernels) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
+    if len(kernels) > 1 and not gemm:
+        return {family: _boost_paths({family: kernel}, design, nu, m_stop, cols)[family]
+                for family, kernel in kernels.items()}
+
+    # each edge's scan columns, padded to one width: unselectable past the end
+    width = max(len(s) for s in scans)
+    scan = (np.zeros((n_edges, width), dtype=np.int64), np.zeros((n_edges, width), dtype=bool),
+            np.ones((n_edges, width)))
+    for e, s in enumerate(scans):
+        scan[0][e, : len(s)] = s
+        scan[1][e, : len(s)] = ~design.degenerate[s]
+        scan[2][e, : len(s)] = design.colsq_safe[s]
+    blocks_T = [design.Zs.T if cols is None else np.ascontiguousarray(design.Zs[:, s]).T for s in scans]
+    stop = np.asarray(m_stop, dtype=np.int64)
+
+    def alone(stack, i):
+        e = stack.edges[i]
+        kernel = _take(stack.kernel, [i], len(stack.edges))
+        return _boost_paths({stack.family: kernel}, design, nu, stop[[e]],
+                            None if cols is None else [scans[e]])[stack.family][0]
+
+    out = {family: [ConfigurationError("no selectable covariates") for _ in range(n_edges)]
+           for family in kernels}
+    edges = np.flatnonzero(scan[1].any(axis=1))
+    stacks = [_Stack(family, _take(kernel, edges, n_edges), edges, stop, scan, blocks_T, n)
+              for family, kernel in kernels.items()] if len(edges) else []
+    for m in range(int(stop[edges].max(initial=0)) + 1):
+        if m > 0:
+            if gemm:
+                G = np.concatenate([s.grad for s in stacks])
+                numers = np.split(G @ design.Zs, np.cumsum([len(s.edges) for s in stacks])[:-1])
+                for s, numer in zip(stacks, numers):
+                    s.numer = numer
+            for s in stacks:
+                if not gemm:
+                    s.scan()
+                s.step(m, nu, design.Zs)
+        live = []
+        for s in stacks:
+            try:
+                if m < s.last:
+                    logpdf, s.grad = s.kernel.value_and_grad(s.eta)
+                else:
+                    logpdf = s.kernel.log_density(s.eta)
+            except _CANDIDATE_ERRORS as exc:
+                for i, e in enumerate(s.edges):
+                    out[s.family][e] = exc if len(s.edges) == 1 else alone(s, i)
+                continue
+            s.risk[m] = -(np.add.reduce(logpdf, axis=1) / n)  # the mean of each row
+            leave = s.stop == m
+            if gemm and m > 0:
+                leave |= s.risk[m] > s.risk[m - 1]
+            if leave.any():
+                for i in np.flatnonzero(leave):
+                    rose = gemm and m > 0 and s.risk[m, i] > s.risk[m - 1, i]
+                    out[s.family][s.edges[i]] = alone(s, i) if rose else s.path(i, design)
+                if leave.all():
+                    continue
+                s.keep(np.flatnonzero(~leave))
+            live.append(s)
+        stacks = live
+        if not stacks:
+            break
+    return out
 
 
 def boost(pairs, Z, family, control, selectable=None):
@@ -279,9 +366,9 @@ def boost(pairs, Z, family, control, selectable=None):
     selectable and are flagged on the returned path rather than raising.
     """
     pairs, Z = _checked_data(pairs, Z)
-    cols = None if selectable is None else _selectable_columns(selectable, Z.shape[1])
-    kernel = prepare(family, pairs[:, 0], pairs[:, 1])
-    path = _boost_paths({family: kernel}, _design(Z), control, cols)[family]
+    cols = None if selectable is None else [_selectable_columns(selectable, Z.shape[1])]
+    kernel = prepare(family, pairs[None, :, 0], pairs[None, :, 1])
+    (path,) = _boost_paths({family: kernel}, _design(Z), control.nu, [control.m_stop], cols)[family]
     if isinstance(path, Exception):
         raise path
     return path
@@ -466,31 +553,20 @@ def _kept_from_beta(beta, path, control):
     return tuple(sorted(kept))
 
 
-def _stop_and_refit(pairs, Z, kernel, path, design, control, refit):
-    """Stopping, then (with ``refit``) deselection and the survivor-only
-    refit of one family's main path; see :func:`fit_family`."""
-    family = path.family
-    if control.stopping == "cv":
-        m_opt = stop_cv(pairs, Z, family, control)
+def _fitted(path, m_opt, survivors, refit_path, control):
+    """The :class:`FittedPairCopula` of a main path stopped at ``m_opt``;
+    ``survivors`` is None without deselection (see :func:`fit_family`)."""
+    if survivors is None:
+        final, m_final = path, m_opt
+    elif refit_path is None:
+        final, m_final = path, 0  # iteration 0 of a path is the all-zero model
     else:
-        m_opt = stop_aic(path)
-    final, m_final = path, m_opt
-    survivors = refit_path = None
-    if refit:
-        survivors = tuple(int(j) for j in deselect(path, control.gamma, control.protect_intercept))
-        if m_opt > 0 and survivors:
-            refit_control = replace(control, m_stop=m_opt)
-            refit_path = _boost_paths({family: kernel}, design, refit_control, np.array(survivors))[family]
-            if isinstance(refit_path, Exception):
-                raise refit_path
-            final = refit_path
-        else:
-            m_final = 0  # iteration 0 of a path is the all-zero model
+        final, m_final = refit_path, m_opt
     beta = final.beta_at(m_final)
     loglik = -path.n_obs * final.risk[m_final]
     df = int(final.active_size[m_final])
     return FittedPairCopula(
-        family=family,
+        family=path.family,
         beta=beta,
         m_opt=int(m_opt),
         aic=-2.0 * loglik + 2.0 * df,
@@ -503,24 +579,56 @@ def _stop_and_refit(pairs, Z, kernel, path, design, control, refit):
     )
 
 
-def _fit_families(pairs, Z, families, control, refit=True):
-    """Fit every family on one standardized design of checked ``Z``.
+def _fit_edges(pairs, Z, design, families, control, refit=True):
+    """Fit every family on each edge of a stack of checked copula data.
 
-    The main paths run through one :func:`_boost_paths` call; each family
-    then stops, is deselected and refits on its survivors.  Returns family ->
-    :class:`FittedPairCopula`, or family -> the :class:`EvaluationError`,
-    ``FloatingPointError`` or :class:`ConfigurationError` that stopped it.
+    ``pairs`` is (E, N, 2), one vine edge per row, all on the covariates
+    ``Z`` whose standardized design is ``design``.  The main paths of every
+    edge and family run through one :func:`_boost_paths` call.  Each edge
+    then stops and, with ``refit``, is deselected on its own; the refits of
+    one family run in one more call, each edge on its own survivor columns.
+    Returns family -> one :class:`FittedPairCopula` per edge, or the
+    :class:`EvaluationError`, ``FloatingPointError`` or
+    :class:`ConfigurationError` that stopped the family on that edge.
     """
-    design = _design(Z)
-    kernels = {family: prepare(family, pairs[:, 0], pairs[:, 1]) for family in families}
-    results = _boost_paths(kernels, design, control)
-    for family, path in results.items():
-        if not isinstance(path, Exception):
+    n_edges = len(pairs)
+    kernels = {family: prepare(family, pairs[..., 0], pairs[..., 1]) for family in families}
+    results = _boost_paths(kernels, design, control.nu, [control.m_stop] * n_edges)
+    for family, fits in results.items():
+        stops = {}
+        for e, path in enumerate(fits):
+            if isinstance(path, Exception):
+                continue
             try:
-                results[family] = _stop_and_refit(pairs, Z, kernels[family], path, design, control, refit)
+                m_opt = stop_cv(pairs[e], Z, family, control) if control.stopping == "cv" else stop_aic(path)
+                survivors = None
+                if refit:
+                    survivors = tuple(int(j) for j in deselect(path, control.gamma, control.protect_intercept))
             except _CANDIDATE_ERRORS as exc:
-                results[family] = exc
+                fits[e] = exc
+                continue
+            stops[e] = (m_opt, survivors)
+        redo = [e for e, (m_opt, survivors) in stops.items() if survivors and m_opt > 0]
+        refits = {}
+        if redo:
+            kernel = _take(kernels[family], redo, n_edges)
+            paths = _boost_paths({family: kernel}, design, control.nu, [stops[e][0] for e in redo],
+                                 [np.array(stops[e][1]) for e in redo])[family]
+            refits = dict(zip(redo, paths))
+        for e, (m_opt, survivors) in stops.items():
+            refit_path = refits.get(e)
+            if isinstance(refit_path, Exception):
+                fits[e] = refit_path
+            else:
+                fits[e] = _fitted(fits[e], m_opt, survivors, refit_path, control)
     return results
+
+
+def _fit_families(pairs, Z, families, control, refit=True):
+    """:func:`_fit_edges` on the one edge of checked (N, 2) ``pairs``:
+    family -> its :class:`FittedPairCopula` or the error that stopped it."""
+    results = _fit_edges(pairs[None], Z, _design(Z), families, control, refit)
+    return {family: fits[0] for family, fits in results.items()}
 
 
 def fit_family(pairs, Z, family, control, refit=True):
@@ -539,6 +647,81 @@ def fit_family(pairs, Z, family, control, refit=True):
     return fit
 
 
+def _check_criterion(criterion):
+    if criterion not in ("aic", "loglik", "predictive_risk"):
+        raise ConfigurationError(f"unknown selection criterion {criterion!r}")
+
+
+def _candidates(families, criterion):
+    """The candidate families as a list, checked with the selection criterion."""
+    families = list(families)
+    if not families:
+        raise ConfigurationError("families must be non-empty")
+    _check_criterion(criterion)
+    return families
+
+
+def _shared_design(designs, Z, rows):
+    """The design of the first ``rows`` rows of Z, made once per ``designs``
+    dict, so that the stacks of one vine standardize Z once."""
+    if rows not in designs:
+        designs[rows] = _design(Z[:rows])
+    return designs[rows]
+
+
+def _fit_pairs(pairs, Z, families, control, criterion, designs=None):
+    """:func:`fit_pair` on each edge of a stack of checked copula data.
+
+    ``pairs`` is (E, N, 2), one vine edge per row, on the covariates ``Z``;
+    ``families`` and ``criterion`` are checked by :func:`_candidates`.
+    The edges are fitted together (see :func:`_fit_edges`) and each picks
+    its own winner.  ``designs`` is the memo of :func:`_shared_design`.
+    Returns one :class:`FittedPairCopula` per edge, or the exception that
+    edge's :func:`fit_pair` raises.
+    """
+    designs = {} if designs is None else designs
+    n = pairs.shape[1]
+    split = n
+    if criterion == "predictive_risk":
+        split = int(round(0.75 * n))
+        if split < 1 or split >= n:
+            raise ConfigurationError("too few rows for a 25% holdout")
+    results = _fit_edges(pairs[:, :split], Z[:split], _shared_design(designs, Z, split), families, control)
+
+    winners, refit = [], {}
+    for e in range(len(pairs)):
+        fits = {family: r[e] for family, r in results.items() if not isinstance(r[e], Exception)}
+        if not fits:
+            failures = {family: repr(r[e]) for family, r in results.items()}
+            winners.append(FitError("all candidate families failed", diagnostics=failures))
+            continue
+        if criterion == "aic":
+            scores = {family: fit.aic for family, fit in fits.items()}
+            best = min(fits, key=lambda f: (scores[f], f.value))
+        elif criterion == "loglik":
+            scores = {family: fit.loglik for family, fit in fits.items()}
+            best = max(fits, key=lambda f: (scores[f], f.value))
+        else:
+            hold_pairs, hold_Z = pairs[e, split:], Z[split:]
+            scores = {
+                family: -_pair_loglik(family, hold_pairs, hold_Z, fit.beta) / len(hold_pairs)
+                for family, fit in fits.items()
+            }
+            best = min(fits, key=lambda f: (scores[f], f.value))
+            refit.setdefault(best, []).append(e)
+        fits[best].selection_scores = {family.value: float(score) for family, score in scores.items()}
+        winners.append(fits[best])
+
+    # "predictive_risk" refits each winner on all rows, the edges won by
+    # one family together
+    for family, edges in refit.items():
+        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, _shared_design(designs, Z, n), [family], control)[family]):
+            if not isinstance(fit, Exception):
+                fit.selection_scores = winners[e].selection_scores
+            winners[e] = fit
+    return winners
+
+
 def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     """Fit candidate families and return the winner.
 
@@ -550,45 +733,10 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     family fails a :class:`FitError` carries the per-family diagnostics.
     """
     control = control or BoostControl()
-    families = list(families)
-    if not families:
-        raise ConfigurationError("families must be non-empty")
-    if criterion not in ("aic", "loglik", "predictive_risk"):
-        raise ConfigurationError(f"unknown selection criterion {criterion!r}")
-
+    families = _candidates(families, criterion)
     # The holdout rows of "predictive_risk" are never boosted on; check all.
     pairs, Z = _checked_data(pairs, Z)
-    if criterion == "predictive_risk":
-        split = int(round(0.75 * len(pairs)))
-        if split < 1 or split >= len(pairs):
-            raise ConfigurationError("too few rows for a 25% holdout")
-        fit_pairs, fit_Z = pairs[:split], Z[:split]
-    else:
-        fit_pairs, fit_Z = pairs, Z
-
-    results = _fit_families(fit_pairs, fit_Z, families, control)
-    fits = {family: fit for family, fit in results.items() if not isinstance(fit, Exception)}
-    if not fits:
-        failures = {family: repr(exc) for family, exc in results.items()}
-        raise FitError("all candidate families failed", diagnostics=failures)
-
-    if criterion == "aic":
-        scores = {family: fit.aic for family, fit in fits.items()}
-        best = min(fits, key=lambda f: (scores[f], f.value))
-    elif criterion == "loglik":
-        scores = {family: fit.loglik for family, fit in fits.items()}
-        best = max(fits, key=lambda f: (scores[f], f.value))
-    else:
-        hold_pairs, hold_Z = pairs[split:], Z[split:]
-        scores = {
-            family: -_pair_loglik(family, hold_pairs, hold_Z, fit.beta) / len(hold_pairs)
-            for family, fit in fits.items()
-        }
-        best = min(fits, key=lambda f: (scores[f], f.value))
-
-    if criterion == "predictive_risk":
-        winner = fit_family(pairs, Z, best, control)
-    else:
-        winner = fits[best]
-    winner.selection_scores = {family.value: float(score) for family, score in scores.items()}
+    (winner,) = _fit_pairs(pairs[None], Z, families, control, criterion)
+    if isinstance(winner, Exception):
+        raise winner
     return winner

@@ -203,9 +203,9 @@ def _base_theta(family, tau):
 
 def _theta_prime(family, tau):
     """d(base theta)/d|tau|, zero where the evaluation cap is active."""
-    at = np.abs(tau)
     if family == CopulaFamily.GAUSSIAN:
         return 0.5 * np.pi * np.cos(0.5 * np.pi * tau)
+    at = np.abs(tau)
     if family in _CLAYTONS:
         live = 2.0 * at / (1.0 - at) < _CLAYTON_THETA_CAP
         return np.where(live, 2.0 / (1.0 - at) ** 2, 0.0)
@@ -623,6 +623,11 @@ class PairKernel:
         self._pos = pos
         self._neg = negative
 
+    def take(self, rows):
+        """The kernel on the given rows of (K, N) stacked data."""
+        terms = [None if t is None else tuple(x[rows] for x in t) for t in (self._pos, self._neg)]
+        return PairKernel(self.family, self.u1[rows], self.u2[rows], *terms)
+
     def log_density(self, eta):
         """Per-row log density at tau = link_tau(eta)."""
         return self._evaluate(eta, gradient=False)[0]
@@ -657,8 +662,8 @@ def prepare(family, u1, u2):
 
     ``u1`` and ``u2`` are the two columns of an (N, 2) pairs array, whose
     non-finite entries raise :class:`InterfaceError` naming their row and
-    column, or two (K, N) arrays with one row per CV fold.  Values are
-    clamped into [U_EPS, 1 - U_EPS] as everywhere else.
+    column, or two (K, N) arrays with one row per CV fold or vine edge.
+    Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.
     """
     _require_finite("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)

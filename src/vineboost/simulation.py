@@ -183,10 +183,6 @@ class BicopScenarioReport:
         want = 6 if self.config.count_intercept_tp else 5
         return float(np.mean((self.tp == want) & (self.fp == 0)))
 
-    def family_recovery_rate(self):
-        hits = [s == t for s, t in zip(self.selected_family, self.true_family)]
-        return float(np.mean(hits))
-
     def write_csv(self, out_dir):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

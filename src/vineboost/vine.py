@@ -538,6 +538,39 @@ class ConditionalVineModel:
         return cls(structure=structure, models=models, covariate_names=tuple(covariate_names))
 
 
+def _edge_candidates(structure, levels, families, edge_families, deselect, criterion):
+    """The candidate families of every edge of the fitted trees, per tree.
+
+    Raises :class:`ConfigurationError` when ``families``, ``edge_families``
+    or ``criterion`` do not fit the structure, before any edge is fitted.
+    """
+    if edge_families is None:
+        if not deselect:
+            raise ConfigurationError("deselect=False requires edge_families")
+        if families is None:
+            raise ConfigurationError("families is required without edge_families")
+        candidates = tuple(_family(f) for f in bst._candidates(families, criterion))
+        return [[candidates] * len(tree) for tree in structure.trees[:levels]]
+    if deselect:
+        bst._check_criterion(criterion)
+    if len(edge_families) < levels:
+        raise ConfigurationError(f"edge_families has {len(edge_families)} trees, {levels} are fitted")
+    out = []
+    for t, tree in enumerate(structure.trees[:levels], start=1):
+        pinned = list(edge_families[t - 1])
+        if len(pinned) != len(tree):
+            raise ConfigurationError(f"edge_families tree {t} has {len(pinned)} families for {len(tree)} edges")
+        out.append([(_family(f),) for f in pinned])
+    return out
+
+
+def _family(value):
+    try:
+        return CopulaFamily(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"unknown copula family {value!r}") from None
+
+
 def fit_vine(
     U,
     Z,
@@ -552,17 +585,22 @@ def fit_vine(
 ):
     """Sequential top-down estimation of a conditional vine copula.
 
-    Edges are fit one at a time, tree by tree.  Tree-1 edges are fit on the
-    raw columns; each deeper tree is fit on pseudo-observations pushed
-    through the parents' h-functions with the per-observation tau implied
-    by that row's covariates.  ``edge_families`` (a list of per-tree lists)
-    pins one family per edge; ``deselect=False`` requires it and fits each
-    edge with ``fit_family(..., refit=False)`` (early stopping, no
-    deselection or refit).  ``truncation_level`` (None, or 1 to d - 1, else
+    The edges of one tree are boosted together, tree by tree, on one
+    standardized design of Z, and each edge gets the fit that
+    :func:`fit_pair` gives it alone.  Tree-1 edges are fit on the raw
+    columns; each deeper tree is fit on pseudo-observations pushed through
+    the parents' h-functions with the per-observation tau implied by that
+    row's covariates.  ``edge_families`` (a list of per-tree lists) pins one
+    family per edge; ``deselect=False`` requires it and fits each edge like
+    ``fit_family(..., refit=False)`` (early stopping, no deselection or
+    refit).  ``families``, ``edge_families`` and ``criterion`` are checked
+    before any edge is fitted (:class:`ConfigurationError`).
+    ``truncation_level`` (None, or 1 to d - 1, else
     :class:`ConfigurationError`) fits only that many trees and sets the
-    edges above them to independence.  An edge's fit error propagates as the same
-    exception object with the edge label prefixed to its message, so
-    ``FitError.diagnostics`` survives.
+    edges above them to independence.  The first edge of a tree whose fit
+    fails raises the same exception object its own fit raises, with the
+    edge label prefixed to its message, so ``FitError.diagnostics``
+    survives.
     """
     control = control or BoostControl()
     U = np.asarray(U, dtype=float)
@@ -576,33 +614,43 @@ def fit_vine(
         covariate_names = tuple(f"z{j}" for j in range(Z.shape[1]))
 
     levels = len(structure.trees) if truncation_level is None else _check_level(truncation_level, structure.d)
-
-    def fit_edge(t, i, pairs):
-        if edge_families is not None:
-            family = edge_families[t][i]
-            if deselect:
-                return bst.fit_pair(pairs, Z, [family], control, criterion=criterion)
-            return bst.fit_family(pairs, Z, family, control, refit=False)
-        if deselect:
-            return bst.fit_pair(pairs, Z, families, control, criterion=criterion)
-        raise ConfigurationError("deselect=False requires edge_families")
+    candidates = _edge_candidates(structure, levels, families, edge_families, deselect, criterion)
 
     # fit_of fills tree by tree; an edge's pseudo-observations need only the
     # fits of the trees below it
-    models, fit_of, cache = [], {}, {}
+    models, fit_of, cache, designs = [], {}, {}, {}
     index, h, values = _edge_index(structure.trees), _fitted_h(fit_of, Z), _columns(U)
     for t, tree in enumerate(structure.trees):
         if t >= levels:
             models.append([FittedPairCopula.independence(Z.shape[1]) for _ in tree])
             continue
-        for i, e in enumerate(tree):
-            pairs = np.column_stack([_cond_cdf(v, e.cond, index, h, values, cache) for v in (e.a, e.b)])
+        # the edges of one tree stack by their candidate families; outcome
+        # holds each edge's fit or error
+        data, outcome, stacks = {}, {}, {}
+        for e, fams in zip(tree, candidates[t]):
             try:
-                fit_of[e] = fit_edge(t, i, pairs)
+                pairs = np.column_stack([_cond_cdf(v, e.cond, index, h, values, cache) for v in (e.a, e.b)])
+                data[e] = bst._checked_data(pairs, Z)[0]
+                stacks.setdefault(fams, []).append(e)
             except Exception as exc:
-                head = f"edge {e.label()}"
+                outcome[e] = exc
+        for fams, edges in stacks.items():
+            pairs = np.stack([data[e] for e in edges])
+            try:
+                if deselect:
+                    fits = bst._fit_pairs(pairs, Z, fams, control, criterion, designs)
+                else:
+                    design = bst._shared_design(designs, Z, len(Z))
+                    fits = bst._fit_edges(pairs, Z, design, fams, control, refit=False)[fams[0]]
+            except Exception as exc:
+                fits = [exc] * len(edges)
+            outcome.update(zip(edges, fits))
+        for e in tree:
+            if isinstance(outcome[e], Exception):
+                exc, head = outcome[e], f"edge {e.label()}"
                 exc.args = ((f"{head}: {exc.args[0]}",) + exc.args[1:]) if exc.args else (head,)
-                raise
+                raise exc
+            fit_of[e] = outcome[e]
         models.append([fit_of[e] for e in tree])
 
     return ConditionalVineModel(

@@ -180,6 +180,25 @@ class TestPairKernel:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(kernel.log_density(eta), ref_value, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("fam", ALL + [CopulaFamily.INDEPENDENCE])
+    def test_stacked_rows_match_one_row_kernels(self, fam):
+        # rows of stacked data, and the kernel on some of them, evaluate
+        # bit for bit as a kernel on each row alone
+        rng = np.random.default_rng(12)
+        u1, u2 = rng.random((2, 4, 200))
+        eta = rng.normal(0.0, 1.5, (4, 200))
+        kernel = F.prepare(fam, u1, u2)
+        rows = [3, 1]
+        part = kernel.take(rows)
+        value, grad = kernel.value_and_grad(eta)
+        part_value, part_grad = part.value_and_grad(eta[rows])
+        for k, r in enumerate(rows):
+            alone_value, alone_grad = F.prepare(fam, u1[r], u2[r]).value_and_grad(eta[r])
+            for got in (value[r], part_value[k]):
+                np.testing.assert_array_equal(got, alone_value)
+            for got in (grad[r], part_grad[k]):
+                np.testing.assert_array_equal(got, alone_grad)
+
     def test_non_finite_eta_is_domain_error(self):
         kernel = F.prepare(CopulaFamily.GUMBEL_I, np.full(3, 0.3), np.full(3, 0.6))
         with pytest.raises(DomainError):

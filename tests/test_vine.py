@@ -11,10 +11,11 @@ from scipy.special import ndtr
 from scipy.stats import kendalltau, kstest, qmc, rankdata
 
 import vineboost
-from vineboost.boosting import BoostControl, fit_pair, predict_tau
-from vineboost.errors import ConfigurationError, FitError, InterfaceError, StructureError
+from vineboost import boosting as B
+from vineboost.boosting import BoostControl, FittedPairCopula, fit_family, fit_pair, predict_tau
+from vineboost.errors import ConfigurationError, EvaluationError, FitError, InterfaceError, StructureError
 from vineboost.families import CopulaFamily, FIT_FAMILIES, U_EPS, log_density, sample_pair
-from vineboost.simulation import benchmark_rvine_structure
+from vineboost.simulation import TRUE_BETA, benchmark_rvine_structure, gen_covariates
 from vineboost.vine import (
     ConditionalVineModel,
     VineEdge,
@@ -103,6 +104,38 @@ class TestFitVine:
                      BoostControl(m_stop=10))
         assert set(info.value.diagnostics) == set(FIT_FAMILIES)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"edge_families": "short"}, "edge_families tree 2 has 2 families for 3 edges"),
+        ({"edge_families": "few trees"}, "edge_families has 3 trees, 4 are fitted"),
+        ({"edge_families": "unknown"}, "unknown copula family 'frank'"),
+        ({"families": None}, "families is required without edge_families"),
+        ({"families": []}, "families must be non-empty"),
+        ({"deselect": False}, "deselect=False requires edge_families"),
+        ({"criterion": "bic"}, "unknown selection criterion 'bic'"),
+    ])
+    def test_bad_families_rejected_before_any_edge_is_fitted(self, monkeypatch, kwargs, message):
+        structure = benchmark_rvine_structure()
+        pinned = [[CopulaFamily.GAUSSIAN] * len(tree) for tree in structure.trees]
+        edge_families = {"short": [pinned[0], pinned[1][:2], *pinned[2:]], "few trees": pinned[:3],
+                         "unknown": [pinned[0], ["frank", *pinned[1][1:]], *pinned[2:]]}
+        args = {"families": FIT_FAMILIES, **kwargs}
+        if "edge_families" in args:
+            args["edge_families"] = edge_families[args["edge_families"]]
+        prepared = []
+        monkeypatch.setattr(B, "prepare", lambda *a: prepared.append(a))
+        rng = np.random.default_rng(8)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            fit_vine(rng.random((100, 5)), np.ones((100, 1)), structure, control=BoostControl(m_stop=10), **args)
+        assert prepared == []
+
+    def test_edge_families_only_cover_the_fitted_trees(self):
+        rng = np.random.default_rng(9)
+        structure = benchmark_rvine_structure()
+        pinned = [[CopulaFamily.GAUSSIAN] * len(tree) for tree in structure.trees[:2]]
+        model = fit_vine(rng.random((100, 5)), np.ones((100, 1)), structure, None, BoostControl(m_stop=10),
+                         truncation_level=2, edge_families=pinned, deselect=False)
+        assert [f.family for f in model.models[1]] == [CopulaFamily.GAUSSIAN] * 3
+
     def test_truncation_skips_fitting(self):
         rng = np.random.default_rng(2)
         n = 400
@@ -151,6 +184,143 @@ class TestFitVine:
         for col in pseudo[e02_1]:
             assert np.all((col > 0) & (col < 1))
             assert kstest(col, "uniform").statistic < 0.05
+
+
+def tree_batched_data(kind):
+    """Copula data, covariates and structure of the tree-batched parity gate:
+    the benchmark 5-d vine at the benchmark's size, or a 6-d D-vine."""
+    if kind == "rvine5":
+        structure, n, p, seed = benchmark_rvine_structure(), 500, 11, 41
+    else:
+        structure, n, p, seed = dvine_structure(range(6)), 400, 8, 42
+    n_edges = sum(len(tree) for tree in structure.trees)
+    families = [FIT_FAMILIES[i % len(FIT_FAMILIES)] for i in range(n_edges)]
+    beta = np.concatenate([TRUE_BETA, np.zeros(p - len(TRUE_BETA))])
+    truth = ConditionalVineModel.from_coefficients(structure, families, [beta] * n_edges)
+    Z = gen_covariates(n, p, 0.5, seed=seed)
+    return truth.sample(Z, seed=seed + 1), Z, structure
+
+
+def per_edge_fit_vine(U, Z, structure, families, control=None, truncation_level=None,
+                      edge_families=None, deselect=True, criterion="aic"):
+    """``fit_vine`` one edge at a time: ``fit_pair`` (``fit_family`` without
+    deselection) on each edge's pseudo-observations, tree by tree; the
+    reference of the tree-batched fit."""
+    levels = truncation_level or len(structure.trees)
+    names = tuple(f"z{j}" for j in range(Z.shape[1]))
+    models = [[FittedPairCopula.independence(Z.shape[1]) for _ in tree] for tree in structure.trees]
+    for t, tree in enumerate(structure.trees[:levels]):
+        # trees t and above are still independence; tree t's data needs only those below
+        pseudo = ConditionalVineModel(structure, models, names).pseudo_observations(U, Z)
+        for i, e in enumerate(tree):
+            pairs = np.column_stack(pseudo[e])
+            if edge_families is None:
+                models[t][i] = fit_pair(pairs, Z, families, control, criterion=criterion)
+            elif deselect:
+                models[t][i] = fit_pair(pairs, Z, [edge_families[t][i]], control, criterion=criterion)
+            else:
+                models[t][i] = fit_family(pairs, Z, edge_families[t][i], control, refit=False)
+    return ConditionalVineModel(structure, models, names, truncation_level)
+
+
+def pinned_families(structure):
+    # neighbouring edges share a family, so a tree stacks several groups
+    return [[FIT_FAMILIES[(t + i // 2) % len(FIT_FAMILIES)] for i in range(len(tree))]
+            for t, tree in enumerate(structure.trees)]
+
+
+TREE_BATCHED_SETTINGS = {
+    "aic": {},
+    "pinned": {"families": None, "edge_families": pinned_families, "deselect": False},
+    "truncated": {"truncation_level": 2},
+    "predictive_risk": {"criterion": "predictive_risk"},
+    "cv": {"control": BoostControl(m_stop=60, stopping="cv", cv_folds=5, seed=3)},
+}
+
+
+class FailingKernel:
+    """A kernel on stacked edge rows that raises from its evaluation ``at`` + 1
+    on whenever its rows hold one of the ``bad`` (u1, u2) data sets."""
+
+    def __init__(self, kernel, bad, at):
+        self.kernel, self.bad, self.at, self.calls = kernel, bad, at, 0
+
+    def holds_bad(self):
+        rows = zip(np.atleast_2d(self.kernel.u1), np.atleast_2d(self.kernel.u2))
+        return any(np.array_equal(u1, b1) and np.array_equal(u2, b2) for u1, u2 in rows for b1, b2 in self.bad)
+
+    def value_and_grad(self, eta):
+        self.calls += 1
+        if self.calls > self.at and self.holds_bad():
+            raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {self.at}")
+        return self.kernel.value_and_grad(eta)
+
+    def log_density(self, eta):
+        return self.kernel.log_density(eta)
+
+    def take(self, rows):
+        return FailingKernel(self.kernel.take(rows), self.bad, self.at)
+
+
+def failing_edges(monkeypatch, U, edges, failing):
+    """Make the ``failing`` families' kernels raise at iteration 17 on the
+    data of the tree-1 ``edges``."""
+    prepare = vineboost.families.prepare
+    bad = [(np.clip(U[:, e.a], U_EPS, 1 - U_EPS), np.clip(U[:, e.b], U_EPS, 1 - U_EPS)) for e in edges]
+
+    def patched(family, u1, u2):
+        kernel = prepare(family, u1, u2)
+        return FailingKernel(kernel, bad, 17) if family in failing else kernel
+
+    monkeypatch.setattr(B, "prepare", patched)
+
+
+class TestTreeBatched:
+    """``fit_vine``, which boosts the edges of a tree together, against
+    ``fit_pair``/``fit_family`` on one edge at a time."""
+
+    @pytest.mark.parametrize("setting", list(TREE_BATCHED_SETTINGS))
+    @pytest.mark.parametrize("kind", ["rvine5", "dvine6"])
+    def test_model_matches_per_edge_fits(self, kind, setting):
+        U, Z, structure = tree_batched_data(kind)
+        kwargs = {"families": FIT_FAMILIES, "control": BoostControl(m_stop=100),
+                  **TREE_BATCHED_SETTINGS[setting]}
+        if "edge_families" in kwargs:
+            kwargs["edge_families"] = kwargs["edge_families"](structure)
+        model = fit_vine(U, Z, structure, **kwargs)
+        assert model.to_json() == per_edge_fit_vine(U, Z, structure, **kwargs).to_json()
+
+    def test_failing_edge_leaves_the_others_as_alone(self, monkeypatch):
+        U, Z, structure = tree_batched_data("rvine5")
+        control = BoostControl(m_stop=100)
+        bad = structure.trees[0][1]
+        failing_edges(monkeypatch, U, [bad], {CopulaFamily.GUMBEL_I})
+        model = fit_vine(U, Z, structure, FIT_FAMILIES, control)
+        assert model.to_json() == per_edge_fit_vine(U, Z, structure, FIT_FAMILIES, control).to_json()
+        for e, fit in zip(structure.trees[0], model.models[0]):
+            assert ("gumbelI" in fit.selection_scores) == (e != bad)
+        # every family failing on two edges: the first in tree order raises
+        first, second = structure.trees[0][1], structure.trees[0][3]
+        failing_edges(monkeypatch, U, [second, first], set(FIT_FAMILIES))
+        with pytest.raises(FitError, match=f"^edge {first.label()}: all candidate families failed$") as info:
+            fit_vine(U, Z, structure, FIT_FAMILIES, control)
+        assert info.value.diagnostics == {
+            f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17")) for f in FIT_FAMILIES
+        }
+
+    def test_shared_gemm_loop_matches_per_edge_fits(self, monkeypatch):
+        # designs this small boost each family alone; force the shared loop
+        monkeypatch.setattr(B, "_GEMM_MIN_BYTES", 0)
+        U, Z, structure = tree_batched_data("rvine5")
+        control = BoostControl(m_stop=100)
+        model = fit_vine(U, Z, structure, FIT_FAMILIES, control, truncation_level=2)
+        reference = per_edge_fit_vine(U, Z, structure, FIT_FAMILIES, control, truncation_level=2)
+        for fits, ref_fits in zip(model.models[:2], reference.models[:2]):
+            for fit, ref in zip(fits, ref_fits):
+                assert (fit.family, fit.m_opt, fit.kept) == (ref.family, ref.m_opt, ref.kept)
+                np.testing.assert_allclose(fit.beta, ref.beta, rtol=1e-9, atol=1e-12)
+                for family, score in ref.selection_scores.items():
+                    assert fit.selection_scores[family] == pytest.approx(score, rel=1e-12)
 
 
 class TestDensity:
