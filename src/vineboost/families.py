@@ -2,10 +2,13 @@
 
 Five one-parameter families are available for fitting: the Gaussian copula
 and the Clayton/Gumbel copulas in two rotation variants each.  A type-I
-family handles negative dependence by evaluating the base copula on
-90-degree rotated coordinates, a type-II family is the survival (180-degree
-rotated) version of its type-I counterpart.  An explicit independence family
-is provided for truncated vine edges.
+family is the base copula for tau >= 0 and the base copula rotated by a
+quarter turn for tau < 0; a type-II family is the survival (half-turn)
+copula for tau >= 0 and the three-quarter turn for tau < 0.  One table,
+``_FLIPS``, names each rotation as a pair of flags saying whether u1 and u2
+are complemented; the density, the loss gradient, the h-functions and their
+inverses all read it, with the sign of tau picking the pair row by row.  An
+explicit independence family is provided for truncated vine edges.
 
 Every operation -- parameter transforms, log density, the h-functions and
 their inverses, the boosting loss gradient and the pair sampler -- is
@@ -82,7 +85,20 @@ FIT_FAMILIES = (
 
 _CLAYTONS = (CopulaFamily.CLAYTON_I, CopulaFamily.CLAYTON_II)
 _GUMBELS = (CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II)
-_SURVIVALS = (CopulaFamily.CLAYTON_II, CopulaFamily.GUMBEL_II)
+
+# The rotation of each family: (flips for tau >= 0, flips for tau < 0), where
+# a flip pair says whether u1 and u2 are complemented before the base copula
+# is evaluated.  All three base copulas are exchangeable, so a flip pair names
+# the whole rotation.  The Gaussian needs none for tau < 0.
+_TYPE_I = ((False, False), (True, False))
+_TYPE_II = ((True, True), (False, True))
+_FLIPS = {
+    CopulaFamily.GAUSSIAN: ((False, False), None),
+    CopulaFamily.CLAYTON_I: _TYPE_I,
+    CopulaFamily.CLAYTON_II: _TYPE_II,
+    CopulaFamily.GUMBEL_I: _TYPE_I,
+    CopulaFamily.GUMBEL_II: _TYPE_II,
+}
 
 
 def _scalarize(out):
@@ -223,6 +239,9 @@ def _theta_prime(family, tau):
 # ``*_terms(u, v)`` depends on the data alone, ``*_parts(terms, theta)``
 # computes the intermediates the log density and the score share, and
 # ``*_logpdf``/``*_score`` finish from both.
+#
+# ``*_h(v, u, theta)`` is P(V <= v | U = u) and ``*_hinv(w, u, theta)`` its
+# inverse in v: conditioned value first, conditioning value second.
 # ---------------------------------------------------------------------------
 
 
@@ -249,23 +268,15 @@ def _gauss_score(terms, theta, parts):
     return theta / d + (xy * (1.0 + r2) - theta * ss) / (d * d)
 
 
-def _gauss_h_2g1(u, v, theta):
+def _gauss_h(v, u, theta):
     x = ndtri(u)
     y = ndtri(v)
     return ndtr((y - theta * x) / np.sqrt(1.0 - theta * theta))
 
 
-def _gauss_h_1g2(u, v, theta):
-    return _gauss_h_2g1(v, u, theta)
-
-
-def _gauss_hinv_2g1(w, u, theta):
+def _gauss_hinv(w, u, theta):
     y = ndtri(w) * np.sqrt(1.0 - theta * theta) + theta * ndtri(u)
     return ndtr(y)
-
-
-def _gauss_hinv_1g2(w, v, theta):
-    return _gauss_hinv_2g1(w, v, theta)
 
 
 def _clayton_terms(u, v):
@@ -309,7 +320,7 @@ def _clayton_score(terms, theta, parts):
     return np.where(tiny, 1.0 + lu + lv + lu * lv, live)
 
 
-def _clayton_h_2g1(u, v, theta):
+def _clayton_h(v, u, theta):
     theta, lu, lv = np.broadcast_arrays(theta, np.log(u), np.log(v))
     out = np.empty_like(lu)
     tiny = theta < _CLAYTON_THETA_TINY
@@ -323,11 +334,7 @@ def _clayton_h_2g1(u, v, theta):
     return out
 
 
-def _clayton_h_1g2(u, v, theta):
-    return _clayton_h_2g1(v, u, theta)
-
-
-def _clayton_hinv_2g1(w, u, theta):
+def _clayton_hinv(w, u, theta):
     theta, lw, lu = np.broadcast_arrays(theta, np.log(w), np.log(u))
     out = np.empty_like(lw)
     tiny = theta < _CLAYTON_THETA_TINY
@@ -339,10 +346,6 @@ def _clayton_hinv_2g1(w, u, theta):
         inner = np.exp(-t * a) * np.expm1(-t * c / (1.0 + t))
         out[live] = np.exp(-np.log1p(inner) / t)
     return out
-
-
-def _clayton_hinv_1g2(w, v, theta):
-    return _clayton_hinv_2g1(w, v, theta)
 
 
 def _log_expm1(d):
@@ -399,15 +402,11 @@ def _gumbel_score(terms, theta, parts):
     )
 
 
-def _gumbel_h_2g1(u, v, theta):
+def _gumbel_h(v, u, theta):
     terms = _gumbel_terms(u, v)
     x, _, lx, _ = terms
     logS, T = _gumbel_parts(terms, theta)
     return np.exp(-T + (1.0 / theta - 1.0) * logS + (theta - 1.0) * lx + x)
-
-
-def _gumbel_h_1g2(u, v, theta):
-    return _gumbel_h_2g1(v, u, theta)
 
 
 def _gumbel_root(b, lo, theta):
@@ -450,7 +449,7 @@ def _gumbel_root(b, lo, theta):
     return out.reshape(shape)
 
 
-def _gumbel_hinv_2g1(w, u, theta):
+def _gumbel_hinv(w, u, theta):
     w, u, theta = np.broadcast_arrays(
         np.asarray(w, dtype=float), np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     )
@@ -465,10 +464,6 @@ def _gumbel_hinv_2g1(w, u, theta):
     return np.clip(v, U_EPS, 1.0 - U_EPS)
 
 
-def _gumbel_hinv_1g2(w, v, theta):
-    return _gumbel_hinv_2g1(w, v, theta)
-
-
 class _Base(NamedTuple):
     """The building blocks of one unrotated base copula."""
 
@@ -476,69 +471,41 @@ class _Base(NamedTuple):
     parts: Callable
     logpdf: Callable
     score: Callable
-    h_1g2: Callable
-    h_2g1: Callable
-    hinv_1g2: Callable
-    hinv_2g1: Callable
+    h: Callable
+    hinv: Callable
 
 
 _BASE = {
     CopulaFamily.GAUSSIAN: _Base(
-        _gauss_terms,
-        _gauss_parts,
-        _gauss_logpdf,
-        _gauss_score,
-        _gauss_h_1g2,
-        _gauss_h_2g1,
-        _gauss_hinv_1g2,
-        _gauss_hinv_2g1,
+        _gauss_terms, _gauss_parts, _gauss_logpdf, _gauss_score, _gauss_h, _gauss_hinv
     ),
     CopulaFamily.CLAYTON_I: _Base(
-        _clayton_terms,
-        _clayton_parts,
-        _clayton_logpdf,
-        _clayton_score,
-        _clayton_h_1g2,
-        _clayton_h_2g1,
-        _clayton_hinv_1g2,
-        _clayton_hinv_2g1,
+        _clayton_terms, _clayton_parts, _clayton_logpdf, _clayton_score, _clayton_h, _clayton_hinv
     ),
     CopulaFamily.GUMBEL_I: _Base(
-        _gumbel_terms,
-        _gumbel_parts,
-        _gumbel_logpdf,
-        _gumbel_score,
-        _gumbel_h_1g2,
-        _gumbel_h_2g1,
-        _gumbel_hinv_1g2,
-        _gumbel_hinv_2g1,
+        _gumbel_terms, _gumbel_parts, _gumbel_logpdf, _gumbel_score, _gumbel_h, _gumbel_hinv
     ),
 }
 _BASE[CopulaFamily.CLAYTON_II] = _BASE[CopulaFamily.CLAYTON_I]
 _BASE[CopulaFamily.GUMBEL_II] = _BASE[CopulaFamily.GUMBEL_I]
 
 
-def _rotation(family, tau):
-    """Per-element rotation code (0/90/180/270) for the family at tau."""
-    neg = np.asarray(tau) < 0.0
-    if family in (CopulaFamily.GAUSSIAN, CopulaFamily.INDEPENDENCE):
-        return np.zeros(neg.shape, dtype=np.int64)
-    if family in _SURVIVALS:
-        return np.where(neg, 270, 180)
-    return np.where(neg, 90, 0)
+def _flipped(flips, u1, u2):
+    """(u1, u2) with each value complemented where its flip is set."""
+    return tuple(1.0 - u if f else u for f, u in zip(flips, (u1, u2)))
 
 
 def _branches(family, u1, u2):
     """Base-copula coordinates that realize the rotated density.
 
-    Returns the pair for tau >= 0 and the pair for tau < 0; the second is
-    ``None`` for the Gaussian, which needs no rotation.
+    Returns the pair for tau >= 0 and the pair for tau < 0, flipped as
+    ``_FLIPS`` says; the second is ``None`` for the Gaussian.  The negative
+    pair is listed as (u2, u1): the order leaves the density of an
+    exchangeable base unchanged, but the small-theta limit of the Clayton
+    score was written for it and is not symmetric in its last bit.
     """
-    if family == CopulaFamily.GAUSSIAN:
-        return (u1, u2), None
-    if family in _SURVIVALS:
-        return (1.0 - u1, 1.0 - u2), (1.0 - u2, u1)
-    return (u1, u2), (u2, 1.0 - u1)
+    pos, negative = _FLIPS[family]
+    return _flipped(pos, u1, u2), None if negative is None else _flipped(negative, u1, u2)[::-1]
 
 
 def _pick(neg, pos, negative):
@@ -553,7 +520,7 @@ def _pick(neg, pos, negative):
 def _neg_gradient(family, terms, theta, parts, neg, tau_raw, tau):
     """-d loss / d eta: the score chained through theta(tau) and tau(eta)."""
     dtheta_dtau = _theta_prime(family, tau)
-    if family != CopulaFamily.GAUSSIAN:
+    if _FLIPS[family][1] is not None:
         # theta is a function of |tau|; rotation flips the sign for tau < 0.
         dtheta_dtau = np.where(neg, -dtheta_dtau, dtheta_dtau)
     dtau_deta = np.where(np.abs(tau_raw) >= TAU_CLAMP, 0.0, 1.0 - tau_raw * tau_raw)
@@ -677,6 +644,43 @@ def prepare(family, u1, u2):
     )
 
 
+def _conditioned(which):
+    """Position (0 for u1, 1 for u2) of the conditioned variable of ``which``."""
+    if which == "1|2":
+        return 0
+    if which == "2|1":
+        return 1
+    raise DomainError(f"which must be '1|2' or '2|1', got {which!r}")
+
+
+def _rotated(base_fn, family, k, y, c, tau):
+    """``base_fn`` of the base copula under the rotation of each row.
+
+    ``y`` belongs to the conditioned variable (position ``k`` of a flip pair)
+    and ``c`` is the conditioning value.  Each is complemented where the flip
+    pair picked by the sign of tau says so, and the result is complemented
+    back where the conditioned variable was flipped.  Rows are gathered by
+    sign only when the signs are mixed.
+    """
+    theta = _base_theta(family, tau)
+
+    def apply(flips, y, c, theta):
+        fy, fc = flips[k], flips[1 - k]
+        out = base_fn(1.0 - y if fy else y, 1.0 - c if fc else c, theta)
+        return 1.0 - out if fy else out
+
+    pos, negative = _FLIPS[family]
+    neg = tau < 0.0
+    if negative is None or not neg.any():
+        return apply(pos, y, c, theta)
+    if neg.all():
+        return apply(negative, y, c, theta)
+    out = np.empty(neg.shape)
+    for flips, rows in ((pos, ~neg), (negative, neg)):
+        out[rows] = apply(flips, y[rows], c[rows], theta[rows])
+    return out
+
+
 def hfunc(family, which, u1, u2, tau):
     """Conditional distribution (h-function) of the copula.
 
@@ -684,41 +688,15 @@ def hfunc(family, which, u1, u2, tau):
     returns P(U2 <= u2 | U1 = u1) = dC/du1, with rotations applied
     consistently with :func:`log_density`.
     """
+    k = _conditioned(which)
     tau = _check_tau(tau)
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    if family == CopulaFamily.INDEPENDENCE:
-        out = np.broadcast_arrays(u1 if which == "1|2" else u2, u2, tau)[0].copy()
-        return _scalarize(out)
     u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
-    rot = _rotation(family, tau)
-    theta = _base_theta(family, tau)
-    h_1g2, h_2g1 = _BASE[family].h_1g2, _BASE[family].h_2g1
-    out = np.empty_like(u1)
-    for code in np.unique(rot):
-        m = rot == code
-        p, q, t = u1[m], u2[m], theta[m]
-        if which == "1|2":
-            if code == 0:
-                val = h_1g2(p, q, t)
-            elif code == 90:
-                val = 1.0 - h_2g1(q, 1.0 - p, t)
-            elif code == 180:
-                val = 1.0 - h_1g2(1.0 - p, 1.0 - q, t)
-            else:
-                val = h_2g1(1.0 - q, p, t)
-        elif which == "2|1":
-            if code == 0:
-                val = h_2g1(p, q, t)
-            elif code == 90:
-                val = h_1g2(q, 1.0 - p, t)
-            elif code == 180:
-                val = 1.0 - h_2g1(1.0 - p, 1.0 - q, t)
-            else:
-                val = 1.0 - h_1g2(1.0 - q, p, t)
-        else:
-            raise DomainError(f"which must be '1|2' or '2|1', got {which!r}")
-        out[m] = val
+    if family == CopulaFamily.INDEPENDENCE:
+        return _scalarize((u1, u2)[k].copy())
+    y, c = (u1, u2) if k == 0 else (u2, u1)
+    out = _rotated(_BASE[family].h, family, k, y, c, tau)
     _check_finite("hfunc", out, (u1, u2, tau))
     if np.any(out < -_HFUNC_TOL) or np.any(out > 1.0 + _HFUNC_TOL):
         raise EvaluationError("hfunc left [0, 1] beyond tolerance")
@@ -732,41 +710,14 @@ def hinv(family, which, w, u_cond, tau):
     for ``which="2|1"`` returns u2 with hfunc("2|1", u_cond, u2, tau) = w.
     Analytic for Gaussian/Clayton, safeguarded Newton for Gumbel.
     """
+    k = _conditioned(which)
     tau = _check_tau(tau)
     w = _clamp_u(w)
     uc = _clamp_u(u_cond)
-    if family == CopulaFamily.INDEPENDENCE:
-        out = np.broadcast_arrays(w, uc, tau)[0].copy()
-        return _scalarize(out)
     w, uc, tau = np.broadcast_arrays(w, uc, tau)
-    rot = _rotation(family, tau)
-    theta = _base_theta(family, tau)
-    hinv_1g2, hinv_2g1 = _BASE[family].hinv_1g2, _BASE[family].hinv_2g1
-    out = np.empty_like(w)
-    for code in np.unique(rot):
-        m = rot == code
-        ww, cc, t = w[m], uc[m], theta[m]
-        if which == "1|2":
-            if code == 0:
-                val = hinv_1g2(ww, cc, t)
-            elif code == 90:
-                val = 1.0 - hinv_2g1(1.0 - ww, cc, t)
-            elif code == 180:
-                val = 1.0 - hinv_1g2(1.0 - ww, 1.0 - cc, t)
-            else:
-                val = hinv_2g1(ww, 1.0 - cc, t)
-        elif which == "2|1":
-            if code == 0:
-                val = hinv_2g1(ww, cc, t)
-            elif code == 90:
-                val = hinv_1g2(ww, 1.0 - cc, t)
-            elif code == 180:
-                val = 1.0 - hinv_2g1(1.0 - ww, 1.0 - cc, t)
-            else:
-                val = 1.0 - hinv_1g2(1.0 - ww, cc, t)
-        else:
-            raise DomainError(f"which must be '1|2' or '2|1', got {which!r}")
-        out[m] = val
+    if family == CopulaFamily.INDEPENDENCE:
+        return _scalarize(w.copy())
+    out = _rotated(_BASE[family].hinv, family, k, w, uc, tau)
     _check_finite("hinv", out, (w, uc, tau))
     return _scalarize(np.clip(out, U_EPS, 1.0 - U_EPS))
 
@@ -779,6 +730,9 @@ def sample_pair(family, tau, n, seed):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    shape = np.shape(tau)
+    if shape and shape != (n,):
+        raise InterfaceError(f"tau must be a scalar or an array of length n = {n}, got shape {shape}")
     rng = np.random.default_rng(seed)
     w1 = rng.random(n)
     w2 = rng.random(n)

@@ -81,9 +81,13 @@ class TestLogDensity:
         b = F.log_density(CopulaFamily.CLAYTON_I, u2, u1, tau)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
-    @pytest.mark.parametrize("fam", [CopulaFamily.CLAYTON_I, CopulaFamily.GUMBEL_I])
+    @pytest.mark.parametrize(
+        "fam",
+        [CopulaFamily.CLAYTON_I, CopulaFamily.GUMBEL_I, CopulaFamily.CLAYTON_II, CopulaFamily.GUMBEL_II],
+    )
     def test_rotation_identity(self, fam):
-        # negative-tau path equals the base family at (u2, 1-u1) with -tau
+        # negative-tau path equals the same family at (u2, 1-u1) with -tau: the
+        # 90-degree rotation of the base for type I, the 270-degree one for type II
         rng = np.random.default_rng(2)
         u1, u2 = rng.uniform(0.01, 0.99, (2, 100))
         tau = -rng.uniform(0.05, 0.9, 100)
@@ -271,6 +275,142 @@ class TestHInverse:
             assert np.all(np.diff(out) >= 0.0)
 
 
+SIX = ALL + [CopulaFamily.INDEPENDENCE]
+
+# Rotation code (degrees) of each family for tau >= 0 and for tau < 0.
+ROTATIONS = {
+    CopulaFamily.GAUSSIAN: (0, 0),
+    CopulaFamily.CLAYTON_I: (0, 90),
+    CopulaFamily.GUMBEL_I: (0, 90),
+    CopulaFamily.CLAYTON_II: (180, 270),
+    CopulaFamily.GUMBEL_II: (180, 270),
+}
+
+
+def _by_rotation(fam, tau, arm, *args):
+    # Evaluate each rotation code's rows with its ladder arm, gathering by code.
+    pos, neg = ROTATIONS[fam]
+    rot = np.where(tau < 0.0, neg, pos)
+    theta = F._base_theta(fam, tau)
+    out = np.empty_like(args[0])
+    for code in np.unique(rot):
+        m = rot == code
+        out[m] = arm(code, *(a[m] for a in args), theta[m])
+    return out
+
+
+def _ladder_hfunc(fam, which, u1, u2, tau):
+    """h-function by the 0/90/180/270 rotation ladder, on the base h."""
+    u1, u2, tau = np.broadcast_arrays(F._clamp_u(u1), F._clamp_u(u2), np.asarray(tau, float))
+    if fam == CopulaFamily.INDEPENDENCE:
+        return (u1 if which == "1|2" else u2).copy()
+    h = F._BASE[fam].h
+
+    def h_1g2(p, q, t):
+        return h(p, q, t)
+
+    def h_2g1(p, q, t):
+        return h(q, p, t)
+
+    def arm(code, p, q, t):
+        if which == "1|2":
+            if code == 0:
+                return h_1g2(p, q, t)
+            if code == 90:
+                return 1.0 - h_2g1(q, 1.0 - p, t)
+            if code == 180:
+                return 1.0 - h_1g2(1.0 - p, 1.0 - q, t)
+            return h_2g1(1.0 - q, p, t)
+        if code == 0:
+            return h_2g1(p, q, t)
+        if code == 90:
+            return h_1g2(q, 1.0 - p, t)
+        if code == 180:
+            return 1.0 - h_2g1(1.0 - p, 1.0 - q, t)
+        return 1.0 - h_1g2(1.0 - q, p, t)
+
+    return np.clip(_by_rotation(fam, tau, arm, u1, u2), 0.0, 1.0)
+
+
+def _ladder_hinv(fam, which, w, uc, tau):
+    """h-inverse by the 0/90/180/270 rotation ladder, on the base h-inverse."""
+    w, uc, tau = np.broadcast_arrays(F._clamp_u(w), F._clamp_u(uc), np.asarray(tau, float))
+    if fam == CopulaFamily.INDEPENDENCE:
+        return w.copy()
+    hinv_1g2 = hinv_2g1 = F._BASE[fam].hinv
+
+    def arm(code, ww, cc, t):
+        if which == "1|2":
+            if code == 0:
+                return hinv_1g2(ww, cc, t)
+            if code == 90:
+                return 1.0 - hinv_2g1(1.0 - ww, cc, t)
+            if code == 180:
+                return 1.0 - hinv_1g2(1.0 - ww, 1.0 - cc, t)
+            return hinv_2g1(ww, 1.0 - cc, t)
+        if code == 0:
+            return hinv_2g1(ww, cc, t)
+        if code == 90:
+            return hinv_1g2(ww, 1.0 - cc, t)
+        if code == 180:
+            return 1.0 - hinv_2g1(1.0 - ww, 1.0 - cc, t)
+        return 1.0 - hinv_1g2(1.0 - ww, cc, t)
+
+    return np.clip(_by_rotation(fam, tau, arm, w, uc), F.U_EPS, 1.0 - F.U_EPS)
+
+
+def _rotation_inputs():
+    # Interior points plus the clamp boundaries 0, 1e-13 and 1 in both slots.
+    rng = np.random.default_rng(30)
+    edge = np.array([0.0, 1e-13, 1e-10, 0.5, 1.0 - 1e-13, 1.0])
+    e1, e2 = np.meshgrid(edge, edge)
+    a = np.concatenate([rng.random(2000), e1.ravel()])
+    b = np.concatenate([rng.random(2000), e2.ravel()])
+    n = a.size
+    mixed = rng.uniform(-0.99, 0.99, n)
+    mixed[::9] = -0.0
+    taus = {
+        "nonneg": np.concatenate([np.zeros(5), rng.uniform(0.0, 0.99, n - 5)]),
+        "neg": -rng.uniform(1e-12, 0.99, n),
+        "mixed": mixed,
+        "negzero": np.full(n, -0.0),
+    }
+    return a, b, taus
+
+
+def _assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestRotationTable:
+    """The flip table against the rotation-code ladders it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("fam", SIX)
+    @pytest.mark.parametrize("which", ["1|2", "2|1"])
+    @pytest.mark.parametrize("sign", ["nonneg", "neg", "mixed", "negzero"])
+    def test_hfunc_matches_ladder(self, fam, which, sign):
+        a, b, taus = _rotation_inputs()
+        tau = taus[sign]
+        _assert_bitwise(F.hfunc(fam, which, a, b, tau), _ladder_hfunc(fam, which, a, b, tau))
+
+    @pytest.mark.parametrize("fam", SIX)
+    @pytest.mark.parametrize("which", ["1|2", "2|1"])
+    @pytest.mark.parametrize("sign", ["nonneg", "neg", "mixed", "negzero"])
+    def test_hinv_matches_ladder(self, fam, which, sign):
+        a, b, taus = _rotation_inputs()
+        tau = taus[sign]
+        _assert_bitwise(F.hinv(fam, which, a, b, tau), _ladder_hinv(fam, which, a, b, tau))
+
+    @pytest.mark.parametrize("fam", SIX)
+    def test_which_is_checked_for_every_family(self, fam):
+        with pytest.raises(DomainError, match="which"):
+            F.hfunc(fam, "bogus", 0.3, 0.7, 0.0)
+        with pytest.raises(DomainError, match="which"):
+            F.hinv(fam, "bogus", 0.3, 0.7, 0.0)
+
+
 GUMBELS = [CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II]
 
 
@@ -358,6 +498,10 @@ class TestSamplePair:
         U = F.sample_pair(CopulaFamily.CLAYTON_I, -0.5, 100_000, seed=7)
         assert kstest(U[:, 0], "uniform").statistic < 0.01
         assert kstest(U[:, 1], "uniform").statistic < 0.01
+
+    def test_tau_length_must_match_n(self):
+        with pytest.raises(InterfaceError, match=r"length n = 5, got shape \(3,\)"):
+            F.sample_pair(CopulaFamily.CLAYTON_I, [0.1, 0.2, 0.3], 5, seed=9)
 
     def test_deterministic_and_per_row_tau(self):
         tau = np.linspace(-0.5, 0.5, 1000)
