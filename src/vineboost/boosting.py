@@ -13,7 +13,7 @@ threshold are deselected and the model is boosted again on the survivors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,7 +148,12 @@ _GEMM_MIN_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class _Design:
-    """The standardized covariates of one fit, shared by its families and refits."""
+    """The standardized covariates of a stack's rows in :func:`_boost_paths`.
+
+    Either one (N, p+1) design shared by every row (the families and refits
+    of one fit), or a leading axis with one design per row (the K folds of
+    CV).  A row trains on its rows before ``n_train`` and holds out the rest.
+    """
 
     Zs: np.ndarray
     mu: np.ndarray
@@ -156,13 +161,18 @@ class _Design:
     has_intercept: bool
     degenerate: np.ndarray
     colsq_safe: np.ndarray
+    n_train: int
+
+    def row(self, e):
+        """The design of stack row e."""
+        return self if self.Zs.ndim == 2 else _Design(*(getattr(self, f.name)[e] for f in fields(self)))
 
 
 def _design(Z):
     Zs, mu, sigma, has_intercept, degenerate = _standardize(Z)
     colsq = np.einsum("ij,ij->j", Zs, Zs)
     colsq_safe = np.where(colsq < _DEGENERATE_TOL, 1.0, colsq)
-    return _Design(Zs, mu, sigma, has_intercept, degenerate, colsq_safe)
+    return _Design(Zs, mu, sigma, has_intercept, degenerate, colsq_safe, len(Zs))
 
 
 def _selectable_columns(selectable, p1):
@@ -198,6 +208,10 @@ class _Stack:
     def _index(self):
         self.offsets = np.arange(len(self.edges)) * self.numer.shape[1]
         self.last = int(self.stop.max())
+        # the live edges grouped by their first held-out row, 0 for those
+        # training on all rows: each edge's risk rows
+        held = np.array([Zs_T.shape[1] % self.eta.shape[1] for Zs_T in self.blocks_T])
+        self.risk_rows = [(slice(None) if len(set(held)) == 1 else held == t, t) for t in np.unique(held)]
 
     def keep(self, rows):
         """Drop every live edge but those at the positions ``rows``."""
@@ -210,9 +224,9 @@ class _Stack:
         self._index()
 
     def scan(self):
-        """``numer`` row e = the exact GEMV Zs.T @ g[e] over edge e's columns."""
+        """``numer`` row e = the exact GEMV of edge e's training block with g[e]."""
         for Zs_T, g, numer in zip(self.blocks_T, self.grad, self.numer):
-            np.matmul(Zs_T, g, out=numer[: Zs_T.shape[0]])
+            np.matmul(Zs_T, g[: Zs_T.shape[1]], out=numer[: Zs_T.shape[0]])
 
     def step(self, m, nu, Zs):
         """Iteration m of every live edge, from its scan ``numer`` = Zs.T @ g."""
@@ -221,14 +235,14 @@ class _Stack:
         at = self.offsets + score.argmax(axis=1)
         step = nu * numer.take(at) / colsq.take(at)
         cols = self.cols.take(at)
-        update = Zs[:, cols]
+        update = Zs[:, cols] if Zs.ndim == 2 else Zs[self.edges, :, cols].T
         update *= step
         self.eta += update.T
         self.selected[m - 1] = cols
         self.increments[m - 1] = step
 
     def path(self, i, design):
-        """The finished path of the live edge at position i."""
+        """The finished path of the live edge at position i, on its row's design."""
         m = int(self.stop[i])
         selected, increments = self.selected[:m, i].copy(), self.increments[:m, i].copy()
         return BoostPath(
@@ -241,7 +255,7 @@ class _Stack:
             sigma=design.sigma,
             has_intercept=design.has_intercept,
             degenerate=design.degenerate,
-            n_obs=design.Zs.shape[0],
+            n_obs=int(design.n_train),
         )
 
 
@@ -264,52 +278,59 @@ def _take(kernel, rows, n_rows):
 def _boost_paths(kernels, design, nu, m_stop, cols=None):
     """Boost every family in ``kernels`` (family -> PairKernel) on one design.
 
-    Each kernel holds the same E vine edges as (E, N) rows, and edge e runs
-    ``m_stop[e]`` iterations.  Each iteration evaluates a family's kernel
-    once on its (E, N) linear predictor (the log density gives risk[m], the
-    gradient drives step m + 1) and scans the covariates with the
-    matrix-vector product ``Zs.T @ g[e]`` of each edge, so every edge takes
-    the path it takes alone, bit for bit; the coordinate choice and the step
-    are then made for all edges at once.  An edge leaves the stack when it
-    has run its iterations.  ``cols[e]`` restricts edge e's scan to those
-    columns of the design, copied contiguously, and its picks are mapped
-    back to the design's column indices.
+    Each kernel holds the same E rows as (E, N) arrays: vine edges on one
+    shared design, or CV folds on a design with one entry per row (see
+    :class:`_Design`).  Row e runs ``m_stop[e]`` iterations.  Each iteration
+    evaluates a family's kernel once on its (E, N) linear predictor (the log
+    density gives risk[m], the gradient drives step m + 1) and scans the
+    covariates with the GEMV of each row's training block and its gradient
+    there, so every row takes the path it takes alone, bit for bit; the
+    coordinate choice and the step are then made for all rows at once.  The
+    risk is the mean negative log density over a row's held-out rows, or
+    over all rows when it has none.  A row leaves the stack when it has run
+    its iterations.  ``cols[e]`` restricts row e's scan to those columns of
+    the design, copied contiguously, and its picks are mapped back to the
+    design's column indices.
 
-    On a design of at least ``_GEMM_MIN_BYTES`` several families share one
-    loop instead, and one product of all their gradient rows with the design
-    scans for all of them.  That product sums in another order, and where a
-    step overshoots (the risk rises) the rounding difference can grow into
-    another path, so such an edge is boosted again alone.
+    On a shared design of at least ``_GEMM_MIN_BYTES`` without held-out rows
+    several families share one loop instead, and one product of all their
+    gradient rows with the design scans for all of them.  That product sums
+    in another order, and where a step overshoots (the risk rises) the
+    rounding difference can grow into another path, so such a row is
+    boosted again alone.
 
-    Returns family -> one :class:`BoostPath` per edge, or the exception that
+    Returns family -> one :class:`BoostPath` per row, or the exception that
     stopped it.  A kernel that raises drops its family out of the loop and
-    the others go on; a family stacking several edges is then boosted again
-    one edge at a time, so each edge ends with the path or the error it has
+    the others go on; a family stacking several rows is then boosted again
+    one row at a time, so each row ends with the path or the error it has
     alone.
     """
     n_edges = len(m_stop)
-    n, p1 = design.Zs.shape
+    n, p1 = design.Zs.shape[-2:]
     scans = [np.arange(p1)] * n_edges if cols is None else list(cols)
-    gemm = cols is None and len(kernels) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
+    gemm = (cols is None and len(kernels) > 1 and design.Zs.ndim == 2 and design.n_train == n
+            and design.Zs.nbytes >= _GEMM_MIN_BYTES)
     if len(kernels) > 1 and not gemm:
         return {family: _boost_paths({family: kernel}, design, nu, m_stop, cols)[family]
                 for family, kernel in kernels.items()}
 
-    # each edge's scan columns, padded to one width: unselectable past the end
+    # each row's scan columns, padded to one width: unselectable past the end
+    designs = [design.row(e) for e in range(n_edges)]
     width = max(len(s) for s in scans)
     scan = (np.zeros((n_edges, width), dtype=np.int64), np.zeros((n_edges, width), dtype=bool),
             np.ones((n_edges, width)))
-    for e, s in enumerate(scans):
+    for e, (s, r) in enumerate(zip(scans, designs)):
         scan[0][e, : len(s)] = s
-        scan[1][e, : len(s)] = ~design.degenerate[s]
-        scan[2][e, : len(s)] = design.colsq_safe[s]
-    blocks_T = [design.Zs.T if cols is None else np.ascontiguousarray(design.Zs[:, s]).T for s in scans]
+        scan[1][e, : len(s)] = ~r.degenerate[s]
+        scan[2][e, : len(s)] = r.colsq_safe[s]
+    blocks_T = [r.Zs[: r.n_train].T if cols is None else np.ascontiguousarray(r.Zs[: r.n_train][:, s]).T
+                for r, s in zip(designs, scans)]
     stop = np.asarray(m_stop, dtype=np.int64)
 
     def alone(stack, i):
         e = stack.edges[i]
         kernel = _take(stack.kernel, [i], len(stack.edges))
-        return _boost_paths({stack.family: kernel}, design, nu, stop[[e]],
+        return _boost_paths({stack.family: kernel}, designs[e], nu, stop[[e]],
                             None if cols is None else [scans[e]])[stack.family][0]
 
     out = {family: [ConfigurationError("no selectable covariates") for _ in range(n_edges)]
@@ -339,14 +360,16 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
                 for i, e in enumerate(s.edges):
                     out[s.family][e] = exc if len(s.edges) == 1 else alone(s, i)
                 continue
-            s.risk[m] = -(np.add.reduce(logpdf, axis=1) / n)  # the mean of each row
+            for rows, t in s.risk_rows:  # the mean of each edge's risk rows
+                s.risk[m, rows] = -(np.add.reduce(logpdf[rows, t:], axis=1) / (n - t))
             leave = s.stop == m
             if gemm and m > 0:
                 leave |= s.risk[m] > s.risk[m - 1]
             if leave.any():
                 for i in np.flatnonzero(leave):
+                    e = s.edges[i]
                     rose = gemm and m > 0 and s.risk[m, i] > s.risk[m - 1, i]
-                    out[s.family][s.edges[i]] = alone(s, i) if rose else s.path(i, design)
+                    out[s.family][e] = alone(s, i) if rose else s.path(i, designs[e])
                 if leave.all():
                     continue
                 s.keep(np.flatnonzero(~leave))
@@ -387,16 +410,13 @@ def stop_aic(path):
 def _cv_paths(pairs, Z, family, control):
     """Per-fold selections and held-out risks of seeded K-fold CV.
 
-    The K folds are boosted together.  Fold k's rows sit in the order
-    "training rows, then held-out rows" in row k of a (K, N) index; the
-    training rows are standardized as :func:`boost` does and the held-out
-    rows with the same mean and scale, stacked into one (K, N, p+1) design
-    (K·N·(p+1) floats).  Each iteration evaluates the kernel once on the
-    (K, N) linear predictor: fold k's step is the exact GEMV of its
-    training block, so it makes the decisions of :func:`boost` on the
-    training rows, and its held-out risk is the mean negative log density
-    of the remaining rows.  Returns ``selected`` (K, m_stop) and the
-    held-out risk (K, m_stop + 1).
+    Fold k's rows sit in the order "training rows, then held-out rows" in
+    row k of a (K, N) index.  Its training rows are standardized as
+    :func:`boost` does and its held-out rows with the same mean and scale,
+    in row k of one (K, N, p+1) design, and the K folds are boosted as the
+    rows of one :func:`_boost_paths` stack.  Returns ``selected``
+    (K, m_stop) and the held-out risk (K, m_stop + 1), or raises the error
+    of the first fold that failed.
     """
     pairs, Z = _checked_data(pairs, Z)
     n, p1 = Z.shape
@@ -409,46 +429,20 @@ def _cv_paths(pairs, Z, family, control):
     order = np.stack([np.concatenate([np.setdiff1d(np.arange(n), f), f]) for f in folds])
 
     Zs = np.empty((k, n, p1))
-    mask = np.empty((k, p1), dtype=bool)
-    colsq = np.empty((k, p1))
+    stats = []
     for i, t in enumerate(n_train):
-        train, mu, sigma, has_intercept, degenerate = _standardize(Z[order[i, :t]])
-        if degenerate.all():
-            raise ConfigurationError("no selectable covariates")
-        Zs[i, :t] = train
-        Zs[i, t:] = (Z[order[i, t:]] - mu) / sigma
-        mask[i] = ~degenerate
-        colsq[i] = np.einsum("ij,ij->j", train, train)
-    colsq_safe = np.where(colsq < _DEGENERATE_TOL, 1.0, colsq)
+        train = _design(Z[order[i, :t]])
+        Zs[i, :t] = train.Zs
+        Zs[i, t:] = (Z[order[i, t:]] - train.mu) / train.sigma
+        stats.append((train.mu, train.sigma, train.has_intercept, train.degenerate, train.colsq_safe))
+    del train  # a fold's standardized rows, already copied into Zs
+    design = _Design(Zs, *map(np.array, zip(*stats)), n_train)
     kernel = prepare(family, pairs[order, 0], pairs[order, 1])
-    # GEMV operands per fold, and the folds grouped by held-out size
-    train_T = [Zs[i, :t].T for i, t in enumerate(n_train)]
-    held = [(np.flatnonzero(n_train == t), t) for t in np.unique(n_train)]
-
-    m_stop = control.m_stop
-    selected = np.zeros((k, m_stop), dtype=np.int64)
-    risk = np.zeros((k, m_stop + 1))
-    folds_ix = np.arange(k)
-    numer = np.empty((k, p1))
-    eta = np.zeros((k, n))
-    logpdf, g = kernel.value_and_grad(eta)
-    for m in range(m_stop + 1):
-        for rows, t in held:
-            risk[rows, m] = -logpdf[rows, t:].mean(axis=1)
-        if m == m_stop:
-            break
-        for i, t in enumerate(n_train):
-            np.matmul(train_T[i], g[i, :t], out=numer[i])
-        score = np.where(mask, numer * numer / colsq_safe, -np.inf)
-        j = np.argmax(score, axis=1)
-        step = control.nu * numer[folds_ix, j] / colsq_safe[folds_ix, j]
-        eta += step[:, None] * Zs[folds_ix, :, j]
-        selected[:, m] = j
-        if m + 1 < m_stop:
-            logpdf, g = kernel.value_and_grad(eta)
-        else:
-            logpdf = kernel.log_density(eta)
-    return selected, risk
+    paths = _boost_paths({family: kernel}, design, control.nu, [control.m_stop] * k)[family]
+    for path in paths:
+        if isinstance(path, Exception):
+            raise path
+    return np.array([path.selected for path in paths]), np.array([path.risk for path in paths])
 
 
 def stop_cv(pairs, Z, family, control):

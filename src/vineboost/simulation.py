@@ -24,7 +24,7 @@ from . import boosting as bst
 from .boosting import BoostControl
 from .errors import ConfigurationError
 from .families import FIT_FAMILIES, CopulaFamily, hinv, link_tau
-from .vine import ConditionalVineModel, VineEdge, VineStructure, fit_vine
+from .vine import ConditionalVineModel, VineEdge, VineStructure, _family, fit_vine
 
 __all__ = [
     "TRUE_BETA",
@@ -70,6 +70,12 @@ class ScenarioConfig:
     count_intercept_tp: bool = True
 
     def __post_init__(self):
+        for name in ("N", "p", "n_reps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.control, BoostControl):
+            raise ConfigurationError(f"control must be an object of boosting settings, got {self.control!r}")
         if self.kind not in ("bicop", "vine"):
             raise ConfigurationError("kind must be 'bicop' or 'vine'")
         if not 0.0 < self.rho < 1.0:
@@ -83,7 +89,7 @@ class ScenarioConfig:
         if self.family is None and not self.family_draw:
             raise ConfigurationError("either fix a family or enable family_draw")
         if self.family is not None:
-            CopulaFamily(self.family)
+            _family(self.family)
 
     def to_dict(self):
         out = asdict(self)

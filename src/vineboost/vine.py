@@ -319,6 +319,9 @@ class ConditionalVineModel:
             if len(tree) != len(fits):
                 raise InterfaceError("models must align with the structure's trees")
             for e, fit in zip(tree, fits):
+                if len(fit.beta) != len(self.covariate_names):
+                    raise InterfaceError(f"model edge {e.label()}: key 'beta': {len(fit.beta)} coefficients"
+                                         f" for {len(self.covariate_names)} covariate names")
                 lookup[e] = fit
         self._by_edge = lookup
         self._index = _edge_index(self.structure.trees)
@@ -484,14 +487,9 @@ class ConditionalVineModel:
             fits = []
             for e in tree:
                 rec, at = records[e], f"model edge {e.label()}"
-                beta = _field(rec, "beta", _finite_vector, at)
-                if len(beta) != len(names):
-                    raise InterfaceError(
-                        f"{at}: key 'beta': {len(beta)} coefficients for {len(names)} covariate names"
-                    )
                 fits.append(FittedPairCopula(
                     family=_field(rec, "family", CopulaFamily, at),
-                    beta=beta,
+                    beta=_field(rec, "beta", _finite_vector, at),
                     m_opt=_field(rec, "m_opt", int, at),
                     aic=_field(rec, "aic", float, at),
                     loglik=_field(rec, "loglik", float, at),
@@ -612,6 +610,8 @@ def fit_vine(
     _require_valid(structure)
     if covariate_names is None:
         covariate_names = tuple(f"z{j}" for j in range(Z.shape[1]))
+    if len(covariate_names) != Z.shape[1]:
+        raise InterfaceError(f"{len(covariate_names)} covariate names for the {Z.shape[1]} columns of Z")
 
     levels = len(structure.trees) if truncation_level is None else _check_level(truncation_level, structure.d)
     candidates = _edge_candidates(structure, levels, families, edge_families, deselect, criterion)

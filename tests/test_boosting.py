@@ -273,26 +273,34 @@ class TestFamilyBatched:
         np.testing.assert_array_equal(winner.beta, fits[winner.family].beta)
 
 
-def failing_prepare(prepare, failing, at, made=None):
+def failing_prepare(prepare, failing, at, made=None, folds=None):
     """``prepare`` whose kernels count their gradient evaluations and, for
     ``failing`` families, raise at iteration ``at``; each kernel is also
-    appended to ``made``."""
+    appended to ``made``.  With ``folds`` = (K, bad) only the K-row kernels
+    of CV fail, and of the kernels taken from their rows only those holding
+    a fold in ``bad``."""
 
     class Kernel:
-        def __init__(self, kernel):
-            self.kernel, self.calls = kernel, 0
+        def __init__(self, kernel, rows=None):
+            self.kernel, self.rows, self.calls = kernel, rows, 0
 
         def value_and_grad(self, eta):
             self.calls += 1
-            if self.kernel.family in failing and self.calls > at:
-                raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {at}")
+            fails = self.rows is None or bool(set(self.rows) & folds[1])
+            if self.kernel.family in failing and self.calls > at and fails:
+                where = "" if self.rows is None else f" on folds {self.rows}"
+                raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {at}{where}")
             return self.kernel.value_and_grad(eta)
 
         def log_density(self, eta):
             return self.kernel.log_density(eta)
 
+        def take(self, rows):
+            return Kernel(self.kernel.take(rows), None if self.rows is None else [self.rows[i] for i in rows])
+
     def patched(family, u1, u2):
-        kernel = Kernel(prepare(family, u1, u2))
+        rows = None if folds is None else list(range(len(u1))) if len(u1) == folds[0] else []
+        kernel = Kernel(prepare(family, u1, u2), rows)
         if made is not None:
             made.append(kernel)
         return kernel
@@ -339,6 +347,40 @@ class TestCandidateFailure:
             B.fit_pair(pairs, Z, F.FIT_FAMILIES, BoostControl(m_stop=100, nu=0.3))
         assert info.value.diagnostics == {
             f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17")) for f in F.FIT_FAMILIES
+        }
+
+
+    def test_failing_cv_fold_fails_its_family_alone(self, monkeypatch):
+        pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
+        control = BoostControl(m_stop=60, nu=0.3, stopping="cv", cv_folds=5, seed=4)
+        bad = CopulaFamily.CLAYTON_I
+        solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
+        # the 5-fold kernel of the CV stop fails; the folds are then boosted
+        # again alone, and folds 2 and 4 fail again
+        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, {bad}, at=17, folds=(5, {2, 4})))
+        with pytest.raises(EvaluationError, match=r"^claytonI kernel failed at iteration 17 on folds \[2\]$"):
+            B.fit_family(pairs, Z, bad, control)
+        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        assert isinstance(fits[bad], EvaluationError)
+        for family, alone in solo.items():
+            fit = fits[family]
+            np.testing.assert_array_equal(fit.risk_path.selected, alone.risk_path.selected)
+            np.testing.assert_array_equal(fit.risk_path.risk, alone.risk_path.risk)
+            assert (fit.m_opt, fit.survivors, fit.kept) == (alone.m_opt, alone.survivors, alone.kept)
+            np.testing.assert_array_equal(fit.beta, alone.beta)
+            assert fit.aic == alone.aic
+        winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
+        assert set(winner.selection_scores) == {f.value for f in solo}
+
+    def test_every_family_failing_a_cv_fold_is_one_fit_error(self, monkeypatch):
+        pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
+        control = BoostControl(m_stop=60, nu=0.3, stopping="cv", cv_folds=5, seed=4)
+        prepare = failing_prepare(B.prepare, set(F.FIT_FAMILIES), at=17, folds=(5, {2, 4}))
+        monkeypatch.setattr(B, "prepare", prepare)
+        with pytest.raises(FitError) as info:
+            B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
+        assert info.value.diagnostics == {
+            f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17 on folds [2]")) for f in F.FIT_FAMILIES
         }
 
 

@@ -271,6 +271,15 @@ class TestSimulate:
         path = self.scenario(tmp_path, bogus_field=1)
         assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("family", "frank"), ("N", 100.5), ("N", True), ("p", 8.0), ("n_reps", 1.5), ("seed", 5.5),
+        ("control", [1]),
+    ])
+    def test_malformed_field_exits_2_before_any_output(self, tmp_path, field, value):
+        path = self.scenario(tmp_path, **{field: value})
+        assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestManifest:
     def test_manifest_digests_inputs_and_outputs(self, tmp_path, gaussian_pair_files):

@@ -128,6 +128,26 @@ class TestFitVine:
             fit_vine(rng.random((100, 5)), np.ones((100, 1)), structure, control=BoostControl(m_stop=10), **args)
         assert prepared == []
 
+    def test_covariate_names_must_match_Z_before_any_edge_is_fitted(self, monkeypatch):
+        prepared = []
+        monkeypatch.setattr(B, "prepare", lambda *a: prepared.append(a))
+        rng = np.random.default_rng(3)
+        Z = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
+        with pytest.raises(InterfaceError, match="^1 covariate names for the 3 columns of Z$"):
+            fit_vine(rng.random((100, 3)), Z, dvine_structure(range(3)), FIT_FAMILIES, covariate_names=("a",))
+        assert prepared == []
+
+    def test_beta_length_is_checked_on_construction_and_loading(self):
+        structure = dvine_structure(range(3))
+        model = constant_tau_model(structure, [CopulaFamily.GAUSSIAN] * 3, [0.3, 0.2, 0.1], n_covariates=3)
+        message = r"^model edge 0,1: key 'beta': 3 coefficients for 1 covariate names$"
+        with pytest.raises(InterfaceError, match=message):
+            ConditionalVineModel(structure, model.models, ("a",))
+        doc = model.to_dict()
+        doc["covariate_names"] = ["a"]
+        with pytest.raises(InterfaceError, match=message):
+            ConditionalVineModel.from_dict(doc)
+
     def test_edge_families_only_cover_the_fitted_trees(self):
         rng = np.random.default_rng(9)
         structure = benchmark_rvine_structure()
