@@ -12,6 +12,7 @@ threshold are deselected and the model is boosted again on the survivors.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -37,12 +38,18 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
+def _require_type(obj, names, types, what):
+    """Raise :class:`ConfigurationError` unless each field of ``obj`` named
+    in ``names`` is an instance of ``types`` and not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, types):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BoostControl:
-    """Tuning knobs for the boosting estimator.
-
-    ``protect_intercept`` exempts column 0 from deselection.
-    """
+    """Tuning knobs for the boosting estimator."""
 
     m_stop: int = 500
     nu: float = 0.1
@@ -50,9 +57,10 @@ class BoostControl:
     stopping: str = "aic"
     cv_folds: int = 10
     seed: int = 0
-    protect_intercept: bool = True
 
     def __post_init__(self):
+        _require_type(self, ("m_stop", "cv_folds", "seed"), (int, np.integer), "an integer")
+        _require_type(self, ("nu", "gamma"), numbers.Real, "a real number")
         if self.m_stop < 1:
             raise ConfigurationError("m_stop must be >= 1")
         if not 0.0 < self.nu <= 1.0:
@@ -173,17 +181,6 @@ def _design(Z):
     colsq = np.einsum("ij,ij->j", Zs, Zs)
     colsq_safe = np.where(colsq < _DEGENERATE_TOL, 1.0, colsq)
     return _Design(Zs, mu, sigma, has_intercept, degenerate, colsq_safe, len(Zs))
-
-
-def _selectable_columns(selectable, p1):
-    """The sorted distinct entries of ``selectable``, each an integer in [0, p1)."""
-    cols = []
-    for j in np.asarray(selectable).ravel().tolist():
-        integral = isinstance(j, int) or (isinstance(j, float) and j.is_integer())
-        if not integral or not 0 <= j < p1:
-            raise ConfigurationError(f"selectable index {j!r} is not a column index in [0, {p1 - 1}]")
-        cols.append(int(j))
-    return np.unique(np.array(cols, dtype=np.int64))
 
 
 class _Stack:
@@ -380,18 +377,16 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
     return out
 
 
-def boost(pairs, Z, family, control, selectable=None):
+def boost(pairs, Z, family, control):
     """Run the componentwise boosting loop (no stopping, no deselection).
 
-    ``selectable`` optionally restricts which covariate columns may be
-    picked (integers in [0, p], else :class:`ConfigurationError`); only
-    those columns are scanned.  Degenerate (zero-variance) columns are never
-    selectable and are flagged on the returned path rather than raising.
+    Degenerate (zero-variance) columns are never selectable and are flagged
+    on the returned path rather than raising.  To boost on a subset of the
+    covariates, pass those columns of ``Z``.
     """
     pairs, Z = _checked_data(pairs, Z)
-    cols = None if selectable is None else [_selectable_columns(selectable, Z.shape[1])]
     kernel = prepare(family, pairs[None, :, 0], pairs[None, :, 1])
-    (path,) = _boost_paths({family: kernel}, _design(Z), control.nu, [control.m_stop], cols)[family]
+    (path,) = _boost_paths({family: kernel}, _design(Z), control.nu, [control.m_stop])[family]
     if isinstance(path, Exception):
         raise path
     return path
@@ -405,6 +400,13 @@ def stop_aic(path):
     """
     aic = 2.0 * path.n_obs * path.risk + 2.0 * path.active_size
     return int(np.argmin(aic))
+
+
+def _check_fold_rows(n, k):
+    """Raise :class:`ConfigurationError` unless each of ``k`` CV folds of
+    ``n`` rows holds at least 10; the smallest fold has ``n // k``."""
+    if n // k < 10:
+        raise ConfigurationError(f"each CV fold needs at least 10 observations ({n} rows, {k} folds)")
 
 
 def _cv_paths(pairs, Z, family, control):
@@ -421,10 +423,9 @@ def _cv_paths(pairs, Z, family, control):
     pairs, Z = _checked_data(pairs, Z)
     n, p1 = Z.shape
     k = control.cv_folds
+    _check_fold_rows(n, k)
     rng = np.random.default_rng(control.seed)
     folds = np.array_split(rng.permutation(n), k)
-    if min(len(f) for f in folds) < 10:
-        raise ConfigurationError("each CV fold needs at least 10 observations")
     n_train = n - np.array([len(f) for f in folds])
     order = np.stack([np.concatenate([np.setdiff1d(np.arange(n), f), f]) for f in folds])
 
@@ -466,21 +467,21 @@ def attributable_risk(path):
     return out
 
 
-def deselect(path, gamma, protect_intercept=True):
+def deselect(path, gamma):
     """Indices of covariates kept by the attributable-risk rule.
 
     A covariate survives when its attributable risk reduction reaches
-    ``gamma`` times the total reduction of the path.  When the total
-    reduction is not positive only the (protected) intercept survives.
+    ``gamma`` times the total reduction of the path; the intercept, when
+    the design has one, always survives.  When the total reduction is not
+    positive only the intercept survives.
     """
     risks = attributable_risk(path)
     total = path.risk[0] - path.risk[-1]
     if total <= 0.0:
         warnings.warn("total risk reduction is not positive; keeping only the intercept")
-        kept = np.array([0], dtype=int) if protect_intercept and path.has_intercept else np.array([], dtype=int)
-        return kept
+        return np.array([0] if path.has_intercept else [], dtype=int)
     kept = np.flatnonzero(risks >= gamma * total)
-    if protect_intercept and path.has_intercept and 0 not in kept:
+    if path.has_intercept and 0 not in kept:
         kept = np.concatenate([[0], kept])
     return np.sort(kept.astype(int))
 
@@ -490,7 +491,7 @@ class FittedPairCopula:
     """One fitted conditional bivariate copula.
 
     ``kept`` is the covariate set of the final model (nonzero coefficients,
-    plus the protected intercept); ``survivors`` records the outcome of the
+    plus the intercept); ``survivors`` records the outcome of the
     deselection step, i.e. the columns the final refit was allowed to use.
     """
 
@@ -540,14 +541,14 @@ def _pair_loglik(family, pairs, Z, beta):
     return float(np.sum(log_density(family, pairs[:, 0], pairs[:, 1], link_tau(eta))))
 
 
-def _kept_from_beta(beta, path, control):
+def _kept_from_beta(beta, path):
     kept = set(int(j) for j in np.flatnonzero(beta))
-    if path.has_intercept and control.protect_intercept:
+    if path.has_intercept:
         kept.add(0)
     return tuple(sorted(kept))
 
 
-def _fitted(path, m_opt, survivors, refit_path, control):
+def _fitted(path, m_opt, survivors, refit_path):
     """The :class:`FittedPairCopula` of a main path stopped at ``m_opt``;
     ``survivors`` is None without deselection (see :func:`fit_family`)."""
     if survivors is None:
@@ -565,7 +566,7 @@ def _fitted(path, m_opt, survivors, refit_path, control):
         m_opt=int(m_opt),
         aic=-2.0 * loglik + 2.0 * df,
         loglik=loglik,
-        kept=_kept_from_beta(beta, path, control),
+        kept=_kept_from_beta(beta, path),
         survivors=survivors,
         risk_path=path,
         refit_path=refit_path,
@@ -584,8 +585,12 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
     Returns family -> one :class:`FittedPairCopula` per edge, or the
     :class:`EvaluationError`, ``FloatingPointError`` or
     :class:`ConfigurationError` that stopped the family on that edge.
+    With CV stopping, too few rows for the folds raise
+    :class:`ConfigurationError` before any family is boosted.
     """
     n_edges = len(pairs)
+    if control.stopping == "cv":
+        _check_fold_rows(pairs.shape[1], control.cv_folds)
     kernels = {family: prepare(family, pairs[..., 0], pairs[..., 1]) for family in families}
     results = _boost_paths(kernels, design, control.nu, [control.m_stop] * n_edges)
     for family, fits in results.items():
@@ -597,7 +602,7 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
                 m_opt = stop_cv(pairs[e], Z, family, control) if control.stopping == "cv" else stop_aic(path)
                 survivors = None
                 if refit:
-                    survivors = tuple(int(j) for j in deselect(path, control.gamma, control.protect_intercept))
+                    survivors = tuple(int(j) for j in deselect(path, control.gamma))
             except _CANDIDATE_ERRORS as exc:
                 fits[e] = exc
                 continue
@@ -614,7 +619,7 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
             if isinstance(refit_path, Exception):
                 fits[e] = refit_path
             else:
-                fits[e] = _fitted(fits[e], m_opt, survivors, refit_path, control)
+                fits[e] = _fitted(fits[e], m_opt, survivors, refit_path)
     return results
 
 
@@ -655,32 +660,22 @@ def _candidates(families, criterion):
     return families
 
 
-def _shared_design(designs, Z, rows):
-    """The design of the first ``rows`` rows of Z, made once per ``designs``
-    dict, so that the stacks of one vine standardize Z once."""
-    if rows not in designs:
-        designs[rows] = _design(Z[:rows])
-    return designs[rows]
-
-
-def _fit_pairs(pairs, Z, families, control, criterion, designs=None):
+def _fit_pairs(pairs, Z, families, control, criterion):
     """:func:`fit_pair` on each edge of a stack of checked copula data.
 
     ``pairs`` is (E, N, 2), one vine edge per row, on the covariates ``Z``;
     ``families`` and ``criterion`` are checked by :func:`_candidates`.
     The edges are fitted together (see :func:`_fit_edges`) and each picks
-    its own winner.  ``designs`` is the memo of :func:`_shared_design`.
-    Returns one :class:`FittedPairCopula` per edge, or the exception that
-    edge's :func:`fit_pair` raises.
+    its own winner.  Returns one :class:`FittedPairCopula` per edge, or
+    the exception that edge's :func:`fit_pair` raises.
     """
-    designs = {} if designs is None else designs
     n = pairs.shape[1]
     split = n
     if criterion == "predictive_risk":
         split = int(round(0.75 * n))
         if split < 1 or split >= n:
             raise ConfigurationError("too few rows for a 25% holdout")
-    results = _fit_edges(pairs[:, :split], Z[:split], _shared_design(designs, Z, split), families, control)
+    results = _fit_edges(pairs[:, :split], Z[:split], _design(Z[:split]), families, control)
 
     winners, refit = [], {}
     for e in range(len(pairs)):
@@ -709,7 +704,7 @@ def _fit_pairs(pairs, Z, families, control, criterion, designs=None):
     # "predictive_risk" refits each winner on all rows, the edges won by
     # one family together
     for family, edges in refit.items():
-        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, _shared_design(designs, Z, n), [family], control)[family]):
+        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, _design(Z), [family], control)[family]):
             if not isinstance(fit, Exception):
                 fit.selection_scores = winners[e].selection_scores
             winners[e] = fit

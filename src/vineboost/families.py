@@ -98,6 +98,7 @@ _FLIPS = {
     CopulaFamily.CLAYTON_II: _TYPE_II,
     CopulaFamily.GUMBEL_I: _TYPE_I,
     CopulaFamily.GUMBEL_II: _TYPE_II,
+    CopulaFamily.INDEPENDENCE: ((False, False), None),
 }
 
 
@@ -488,6 +489,11 @@ _BASE = {
 }
 _BASE[CopulaFamily.CLAYTON_II] = _BASE[CopulaFamily.CLAYTON_I]
 _BASE[CopulaFamily.GUMBEL_II] = _BASE[CopulaFamily.GUMBEL_I]
+# Independence: no data terms, log density and score 0, h(v | u) = v.
+_BASE[CopulaFamily.INDEPENDENCE] = _Base(
+    lambda u, v: (), lambda terms, theta: None, lambda terms, theta, parts: np.zeros_like(theta),
+    lambda terms, theta, parts: np.zeros_like(theta), lambda v, u, theta: v, lambda w, u, theta: w,
+)
 
 
 def _flipped(flips, u1, u2):
@@ -534,9 +540,6 @@ def log_density(family, u1, u2, tau):
     :class:`EvaluationError` carrying the offending point.
     """
     tau = _check_tau(tau)
-    if family == CopulaFamily.INDEPENDENCE:
-        out = np.zeros(np.broadcast(np.asarray(u1), np.asarray(u2), tau).shape)
-        return _scalarize(out)
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
@@ -557,8 +560,6 @@ def loss_gradient(family, u1, u2, eta):
     parameter cap is active.
     """
     eta = _check_eta(eta)
-    if family == CopulaFamily.INDEPENDENCE:
-        return _scalarize(np.zeros(np.broadcast(np.asarray(u1), np.asarray(u2), eta).shape))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     tau_raw, tau = _tanh_link(eta)
@@ -606,9 +607,6 @@ class PairKernel:
     def _evaluate(self, eta, gradient):
         eta = _check_eta(eta)
         family = self.family
-        if family == CopulaFamily.INDEPENDENCE:
-            zero = np.zeros(eta.shape)
-            return zero, zero
         tau_raw, tau = _tanh_link(eta)
         neg = tau < 0.0
         base = _BASE[family]
@@ -635,8 +633,6 @@ def prepare(family, u1, u2):
     _require_finite("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    if family == CopulaFamily.INDEPENDENCE:
-        return PairKernel(family, u1, u2, None, None)
     terms = _BASE[family].terms
     pos, negative = _branches(family, u1, u2)
     return PairKernel(
@@ -693,8 +689,6 @@ def hfunc(family, which, u1, u2, tau):
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
-    if family == CopulaFamily.INDEPENDENCE:
-        return _scalarize((u1, u2)[k].copy())
     y, c = (u1, u2) if k == 0 else (u2, u1)
     out = _rotated(_BASE[family].h, family, k, y, c, tau)
     _check_finite("hfunc", out, (u1, u2, tau))
@@ -715,8 +709,6 @@ def hinv(family, which, w, u_cond, tau):
     w = _clamp_u(w)
     uc = _clamp_u(u_cond)
     w, uc, tau = np.broadcast_arrays(w, uc, tau)
-    if family == CopulaFamily.INDEPENDENCE:
-        return _scalarize(w.copy())
     out = _rotated(_BASE[family].hinv, family, k, w, uc, tau)
     _check_finite("hinv", out, (w, uc, tau))
     return _scalarize(np.clip(out, U_EPS, 1.0 - U_EPS))

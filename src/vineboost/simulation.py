@@ -53,8 +53,7 @@ class ScenarioConfig:
 
     ``family`` fixes the data-generating family; ``family_draw`` draws one
     per repetition (bivariate) or per edge (vine) uniformly from the five
-    candidates.  ``count_intercept_tp`` controls whether index 0 counts
-    toward the informative set in TP/FP summaries.
+    candidates.
     """
 
     kind: str = "bicop"
@@ -67,13 +66,11 @@ class ScenarioConfig:
     mode: str = "selected"
     control: BoostControl = field(default_factory=BoostControl)
     seed: int = 1
-    count_intercept_tp: bool = True
 
     def __post_init__(self):
-        for name in ("N", "p", "n_reps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        bst._require_type(self, ("N", "p", "n_reps", "seed"), (int, np.integer), "an integer")
+        if not isinstance(self.family_draw, (bool, np.bool_)):
+            raise ConfigurationError(f"family_draw must be true or false, got {self.family_draw!r}")
         if not isinstance(self.control, BoostControl):
             raise ConfigurationError(f"control must be an object of boosting settings, got {self.control!r}")
         if self.kind not in ("bicop", "vine"):
@@ -155,12 +152,9 @@ def _rep_seeds(master, n):
     return np.random.SeedSequence(master).spawn(n)
 
 
-def _tp_fp(kept, count_intercept):
-    informative = INFORMATIVE if count_intercept else INFORMATIVE - {0}
-    kept = set(kept) if count_intercept else set(kept) - {0}
-    tp = len(kept & informative)
-    fp = len(kept - informative)
-    return tp, fp
+def _tp_fp(kept):
+    kept = set(kept)
+    return len(kept & INFORMATIVE), len(kept - INFORMATIVE)
 
 
 def _draw_family(rng):
@@ -183,11 +177,11 @@ class BicopScenarioReport:
     failures: list
 
     def median_beta(self):
-        return np.median(self.beta_hat, axis=0)
+        """The median coefficients over the repetitions that did not fail."""
+        return np.median(np.delete(self.beta_hat, [rep for rep, _ in self.failures], axis=0), axis=0)
 
     def exactly_informative_rate(self):
-        want = 6 if self.config.count_intercept_tp else 5
-        return float(np.mean((self.tp == want) & (self.fp == 0)))
+        return float(np.mean((self.tp == len(INFORMATIVE)) & (self.fp == 0)))
 
     def write_csv(self, out_dir):
         out_dir = Path(out_dir)
@@ -219,11 +213,12 @@ def run_bicop_scenario(config):
     if config.kind != "bicop":
         raise ConfigurationError("config.kind must be 'bicop'")
     n_reps = config.n_reps
-    beta_hat = np.zeros((n_reps, 6))
+    # a failed repetition keeps NaN estimates
+    beta_hat = np.full((n_reps, 6), np.nan)
     kept_sizes = np.zeros(n_reps, dtype=int)
     tp = np.zeros(n_reps, dtype=int)
     fp = np.zeros(n_reps, dtype=int)
-    mae = np.zeros(n_reps)
+    mae = np.full(n_reps, np.nan)
     m_opt = np.zeros(n_reps, dtype=int)
     true_family, selected_family, failures = [], [], []
 
@@ -251,7 +246,7 @@ def run_bicop_scenario(config):
             continue
         beta_hat[rep] = beta_row
         kept_sizes[rep] = len(fit.kept)
-        tp[rep], fp[rep] = _tp_fp(fit.kept, config.count_intercept_tp)
+        tp[rep], fp[rep] = _tp_fp(fit.kept)
         mae[rep] = mae_tau(eta, eta_hat)
         m_opt[rep] = fit.m_opt
         selected_family.append(fit.family.value)
@@ -399,7 +394,7 @@ def run_vine_scenario(config):
                 edge_label[row] = e.label()
                 beta_hat[row] = fit.beta[:6]
                 mae[row] = mae_tau(eta, Z_used @ fit.beta)
-                tp[row], fp[row] = _tp_fp(fit.kept, config.count_intercept_tp)
+                tp[row], fp[row] = _tp_fp(fit.kept)
                 kept_sizes[row] = len(fit.kept)
                 true_family[row] = fam_by_edge[e].value
                 selected_family[row] = fit.family.value

@@ -584,8 +584,8 @@ def fit_vine(
     """Sequential top-down estimation of a conditional vine copula.
 
     The edges of one tree are boosted together, tree by tree, on one
-    standardized design of Z, and each edge gets the fit that
-    :func:`fit_pair` gives it alone.  Tree-1 edges are fit on the raw
+    standardized design of Z made for that tree, and each edge gets the
+    fit that :func:`fit_pair` gives it alone.  Tree-1 edges are fit on the raw
     columns; each deeper tree is fit on pseudo-observations pushed through
     the parents' h-functions with the per-observation tau implied by that
     row's covariates.  ``edge_families`` (a list of per-tree lists) pins one
@@ -618,7 +618,7 @@ def fit_vine(
 
     # fit_of fills tree by tree; an edge's pseudo-observations need only the
     # fits of the trees below it
-    models, fit_of, cache, designs = [], {}, {}, {}
+    models, fit_of, cache = [], {}, {}
     index, h, values = _edge_index(structure.trees), _fitted_h(fit_of, Z), _columns(U)
     for t, tree in enumerate(structure.trees):
         if t >= levels:
@@ -638,10 +638,9 @@ def fit_vine(
             pairs = np.stack([data[e] for e in edges])
             try:
                 if deselect:
-                    fits = bst._fit_pairs(pairs, Z, fams, control, criterion, designs)
+                    fits = bst._fit_pairs(pairs, Z, fams, control, criterion)
                 else:
-                    design = bst._shared_design(designs, Z, len(Z))
-                    fits = bst._fit_edges(pairs, Z, design, fams, control, refit=False)[fams[0]]
+                    fits = bst._fit_edges(pairs, Z, bst._design(Z), fams, control, refit=False)[fams[0]]
             except Exception as exc:
                 fits = [exc] * len(edges)
             outcome.update(zip(edges, fits))

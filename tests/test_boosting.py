@@ -55,6 +55,20 @@ def synthetic_path(selected, risks, p=4, has_intercept=True):
     )
 
 
+class TestBoostControl:
+    @pytest.mark.parametrize("field, value", [
+        ("m_stop", 10.5), ("m_stop", True), ("cv_folds", 2.5), ("cv_folds", np.True_), ("seed", 1.5),
+        ("nu", "0.1"), ("nu", True), ("gamma", None),
+    ])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be"):
+            BoostControl(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        control = BoostControl(m_stop=np.int64(5), nu=np.float64(0.5), gamma=1e-2, seed=np.int32(3))
+        assert control.m_stop == 5 and control.nu == 0.5
+
+
 class TestBoost:
     def test_zero_gradient_fixed_point(self):
         # all observations at the Gaussian stationary point (0.5, 0.5)
@@ -121,12 +135,6 @@ class TestBoost:
             B.boost(np.zeros((10, 3)), np.ones((10, 2)), CopulaFamily.GAUSSIAN, BoostControl())
         with pytest.raises(InterfaceError):
             B.boost(np.full((10, 2), 0.5), np.ones((9, 2)), CopulaFamily.GAUSSIAN, BoostControl())
-
-    @pytest.mark.parametrize("selectable, bad", [((0, -1), "-1"), ((1.5,), "1.5"), ((2, 7), "7")])
-    def test_selectable_index_checked(self, selectable, bad):
-        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 100, 5, 0.2, seed=8, beta=TRUE_BETA6[:5])
-        with pytest.raises(ConfigurationError, match=rf"selectable index {bad} is not a column index in \[0, 4\]"):
-            B.boost(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl(m_stop=5), selectable=selectable)
 
 
 def reference_boost(pairs, Z, family, control, selectable=None):
@@ -203,12 +211,15 @@ class TestFusedPath:
     @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
     @pytest.mark.parametrize("selectable", [None, (0, 2, 4, 7)])
     def test_boost_matches_reference_loop(self, fam, selectable):
-        # negative intercept and slopes make tau change sign across rows
+        # negative intercept and slopes make tau change sign across rows;
+        # ``selectable`` picks the columns of Z that both loops boost on
         beta = np.array([-0.1, -0.4, 0.3, 0.6, 0.5, -0.4])
         pairs, Z = simulate_pair_data(fam, 300, 21, 0.3, seed=31, beta=beta)
+        if selectable is not None:
+            Z = Z[:, selectable]
         control = BoostControl(m_stop=150, nu=0.3)
-        path = B.boost(pairs, Z, fam, control, selectable=selectable)
-        selected, risk, active = reference_boost(pairs, Z, fam, control, selectable)
+        path = B.boost(pairs, Z, fam, control)
+        selected, risk, active = reference_boost(pairs, Z, fam, control)
         np.testing.assert_array_equal(path.selected, selected)
         np.testing.assert_array_equal(path.active_size, active)
         np.testing.assert_allclose(path.risk, risk, rtol=1e-12, atol=0.0)
@@ -533,7 +544,7 @@ class TestDeselect:
 
     def test_single_covariate_takes_all_credit(self):
         path = synthetic_path([2, 2, 2], [1.0, 0.8, 0.7, 0.65], has_intercept=False)
-        kept = B.deselect(path, gamma=0.5, protect_intercept=False)
+        kept = B.deselect(path, gamma=0.5)
         assert list(kept) == [2]
 
     def test_partition_of_total_reduction(self):
@@ -605,6 +616,20 @@ class TestFitPair:
                          BoostControl(m_stop=60), criterion="loglik")
         assert fit.selection_scores is not None
 
+    @pytest.mark.parametrize("n, criterion, boosted", [(60, "aic", 60), (120, "predictive_risk", 90)])
+    def test_too_few_rows_per_cv_fold_is_a_configuration_error(self, n, criterion, boosted):
+        # checked once from the rows boosted, not turned into a family failure
+        pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, n, 6, 0.2, seed=21)
+        control = BoostControl(m_stop=20, stopping="cv", cv_folds=10)
+        message = rf"each CV fold needs at least 10 observations \({boosted} rows, 10 folds\)"
+        with pytest.raises(ConfigurationError, match=message):
+            B.fit_pair(pairs, Z, F.FIT_FAMILIES, control, criterion=criterion)
+        if criterion == "aic":
+            with pytest.raises(ConfigurationError, match=message):
+                B.fit_family(pairs, Z, CopulaFamily.GAUSSIAN, control)
+            with pytest.raises(ConfigurationError, match=message):
+                B.stop_cv(pairs, Z, CopulaFamily.GAUSSIAN, control)
+
     def test_empty_families_rejected(self):
         with pytest.raises(ConfigurationError):
             B.fit_pair(np.full((20, 2), 0.5), np.ones((20, 1)), [], BoostControl())
@@ -615,9 +640,11 @@ class TestFitPair:
         pairs, Z = simulate_pair_data(CopulaFamily.GAUSSIAN, 400, 11, 0.2, seed=19)
         control = BoostControl(m_stop=100, stopping=stopping, cv_folds=5, seed=2)
         if not dependent:
-            # independent data and a strict threshold: nothing survives deselection
+            # independent data, a strict threshold and no intercept column:
+            # nothing survives deselection
             pairs = np.random.default_rng(19).random(pairs.shape)
-            control = replace(control, gamma=0.9, protect_intercept=False)
+            Z = Z[:, 1:]
+            control = replace(control, gamma=0.9)
         plain = B.fit_family(pairs, Z, CopulaFamily.GAUSSIAN, control, refit=False)
         np.testing.assert_array_equal(plain.beta, plain.risk_path.beta_at(plain.m_opt))
         assert plain.survivors is None and plain.refit_path is None

@@ -273,7 +273,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, value", [
         ("family", "frank"), ("N", 100.5), ("N", True), ("p", 8.0), ("n_reps", 1.5), ("seed", 5.5),
-        ("control", [1]),
+        ("control", [1]), ("control", {"m_stop": 60.5}), ("control", {"m_stop": True}),
+        ("control", {"m_stop": 60, "stopping": "cv", "cv_folds": 2.5}), ("family_draw", "yes"),
+        ("count_intercept_tp", True), ("control", {"m_stop": 60, "protect_intercept": True}),
     ])
     def test_malformed_field_exits_2_before_any_output(self, tmp_path, field, value):
         path = self.scenario(tmp_path, **{field: value})
@@ -349,6 +351,7 @@ MALFORMED = [
     ("sample", "model", model_json(truncation_level=-2), ": model: key 'truncation_level'"),
     ("fit", "--truncate", "0", "truncation level must lie in [1, 2]"),
     ("fit", "--truncate", "3", "truncation level must lie in [1, 2]"),
+    ("fit", "--stopping", "cv", "edge 0,1: each CV fold needs at least 10 observations (4 rows, 10 folds)"),
 ]
 
 
@@ -359,7 +362,8 @@ MALFORMED = [
          "observations-duplicate-time", "forecasts-nan", "observations-inf",
          "model-unknown-family", "model-missing-edge", "model-missing-beta",
          "model-missing-kept", "model-beta-length", "model-truncation-zero",
-         "model-truncation-negative", "fit-truncate-zero", "fit-truncate-above-d"],
+         "model-truncation-negative", "fit-truncate-zero", "fit-truncate-above-d",
+         "fit-cv-folds-too-small"],
 )
 def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):
     files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES, "structure": GOOD_STRUCTURE,

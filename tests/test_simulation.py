@@ -137,6 +137,30 @@ class TestBicopScenario:
         rep = run_bicop_scenario(cfg)
         assert len(set(rep.true_family)) > 1
 
+    def test_failed_repetition_records_nan(self, tmp_path, monkeypatch):
+        import vineboost.boosting as bst
+
+        fit_pair, calls = bst.fit_pair, []
+
+        def failing_first_two(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= 2:
+                raise FloatingPointError("forced failure")
+            return fit_pair(*args, **kwargs)
+
+        monkeypatch.setattr(bst, "fit_pair", failing_first_two)
+        cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=3, family="gaussian",
+                             control=quick_control(60), seed=17)
+        rep = run_bicop_scenario(cfg)
+        assert [r for r, _ in rep.failures] == [0, 1]
+        assert np.all(np.isnan(rep.beta_hat[:2])) and np.all(np.isnan(rep.mae[:2]))
+        assert np.all(np.isfinite(rep.beta_hat[2])) and np.isfinite(rep.mae[2])
+        np.testing.assert_array_equal(rep.median_beta(), rep.beta_hat[2])
+        rep.write_csv(tmp_path)
+        coefficients = (tmp_path / "coefficients.csv").read_text().splitlines()
+        assert coefficients[1] == "0," + ",".join(["nan"] * 6)
+        assert (tmp_path / "mae.csv").read_text().splitlines()[1:3] == ["0,nan", "1,nan"]
+
     def test_csv_writer(self, tmp_path):
         cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=2, family="gaussian",
                              control=quick_control(60), seed=17)
