@@ -23,6 +23,7 @@ elementwise functions stay the reference it is tested against.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -106,6 +107,13 @@ def _scalarize(out):
     # 0-d results come back as numpy scalars, everything else as arrays.
     out = np.asarray(out)
     return out[()] if out.ndim == 0 else out
+
+
+def _broadcast(*args):
+    """The shape the arguments broadcast to, and the arguments broadcast and
+    made at least 1-d, so that the base functions can work in place."""
+    args = np.broadcast_arrays(*args)
+    return args[0].shape, [a.reshape(1) if a.ndim == 0 else a for a in args]
 
 
 def _clamp_u(u):
@@ -232,6 +240,48 @@ def _theta_prime(family, tau):
     return np.zeros_like(at)
 
 
+# The fused links of :class:`PairKernel`: from tau = tanh(eta), unclamped, and
+# at = |link_tau(eta)|, the evaluation parameter of :func:`_base_theta` and,
+# when asked for, d theta / d|tau| of :func:`_theta_prime`, by the same
+# arithmetic.
+
+_HALF_PI = 0.5 * np.pi
+
+
+def _gauss_link(tau, at, gradient):
+    arg = np.copysign(at, tau)
+    arg *= _HALF_PI
+    theta = np.sin(arg)
+    if not gradient:
+        return theta, None
+    dtheta = np.cos(arg, out=arg)
+    dtheta *= _HALF_PI
+    return theta, dtheta
+
+
+def _ratio_link(num, k, cap, at, gradient):
+    # theta = num / (1 - |tau|) and its derivative k / (1 - |tau|)^2, which is
+    # zero where theta is capped
+    om = 1.0 - at
+    theta = num / om
+    dtheta = None
+    if gradient:
+        dtheta = np.square(om, out=om)
+        np.divide(k, dtheta, out=dtheta)
+        capped = theta >= cap
+        if capped.any():
+            dtheta[capped] = 0.0
+    return np.minimum(theta, cap, out=theta), dtheta
+
+
+def _clayton_link(tau, at, gradient):
+    return _ratio_link(2.0 * at, 2.0, _CLAYTON_THETA_CAP, at, gradient)
+
+
+def _gumbel_link(tau, at, gradient):
+    return _ratio_link(1.0, 1.0, _GUMBEL_THETA_CAP, at, gradient)
+
+
 # ---------------------------------------------------------------------------
 # Base-family building blocks (theta in the positive/base parameter space)
 #
@@ -240,6 +290,10 @@ def _theta_prime(family, tau):
 # ``*_terms(u, v)`` depends on the data alone, ``*_parts(terms, theta)``
 # computes the intermediates the log density and the score share, and
 # ``*_logpdf``/``*_score`` finish from both.
+#
+# The data and theta arrive at least 1-d with theta in the shape of the data,
+# so each function works in place on the arrays it allocates (``out=``,
+# augmented assignment); none writes to its arguments.
 #
 # ``*_h(v, u, theta)`` is P(V <= v | U = u) and ``*_hinv(w, u, theta)`` its
 # inverse in v: conditioned value first, conditioning value second.
@@ -284,41 +338,67 @@ def _clayton_terms(u, v):
     return np.log(u), np.log(v)
 
 
-def _clayton_logS(lu, lv, theta):
-    # S = u^-t + v^-t - 1 >= 1; evaluated in logs to survive theta*|log u| ~ 650.
-    # Both branches are computed on every element (cheaper than masking);
-    # expm1 stays finite because theta <= 28 and |log u| <= -log(U_EPS).
-    a = -theta * lu
-    b = -theta * lv
-    m = np.maximum(a, b)
-    small = np.log1p(np.expm1(a) + np.expm1(b))
-    big = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-    return np.where(m < 1.0, small, big)
+def _clayton_expm1(lu, lv, theta):
+    # S = u^-t + v^-t - 1 >= 1 is 1 + expm1(a) + expm1(b) with a = -t log u and
+    # b = -t log v; log S = log1p(expm1(a) + expm1(b)) is accurate near S = 1
+    # and finite on every row: a <= 28 * -log(U_EPS) ~ 645 < log(max float).
+    nt = -theta
+    ea = nt * lu
+    eb = nt * lv
+    return np.expm1(ea, out=ea), np.expm1(eb, out=eb)
 
 
 def _clayton_parts(terms, theta):
     # Rows below the tiny-theta threshold take the independence limits; they
-    # are evaluated at theta = 1 so no division by zero occurs.
+    # are evaluated at theta = 1 so no division by zero occurs.  ``tiny`` is
+    # None when no row is tiny.
+    lu, lv = terms
     tiny = theta < _CLAYTON_THETA_TINY
-    t = np.where(tiny, 1.0, theta)
-    return tiny, t, _clayton_logS(*terms, t)
+    if tiny.any():
+        t = np.where(tiny, 1.0, theta)
+    else:
+        tiny, t = None, theta
+    ea, eb = _clayton_expm1(lu, lv, t)
+    sm1 = ea + eb  # S - 1
+    k = 1.0 / t
+    k += 2.0
+    return tiny, t, ea, eb, sm1, np.log1p(sm1), lu + lv, k
 
 
 def _clayton_logpdf(terms, theta, parts):
-    lu, lv = terms
-    tiny, t, logS = parts
-    return np.where(tiny, 0.0, np.log1p(t) - (t + 1.0) * (lu + lv) - (1.0 / t + 2.0) * logS)
+    # log1p(t) - (t + 1)(lu + lv) - (1/t + 2) log S
+    tiny, t, _, _, _, logS, luv, k = parts
+    out = (t + 1.0) * luv
+    np.subtract(np.log1p(t), out, out=out)
+    out -= k * logS
+    return out if tiny is None else np.where(tiny, 0.0, out)
+
+
+def _clayton_wlog(lu, lv, ea, eb, sm1):
+    # wa lu + wb lv = -d log S / d theta, where wa = u^-t / S = (expm1(a) + 1) / S
+    # and wb = (expm1(b) + 1) / S are the shares of S
+    w = ea + 1.0
+    w *= lu
+    wb = eb + 1.0
+    wb *= lv
+    w += wb
+    w /= np.add(sm1, 1.0, out=wb)
+    return w
 
 
 def _clayton_score(terms, theta, parts):
+    # 1/(1 + t) - (lu + lv) + log S / t^2 + (1/t + 2)(wa lu + wb lv)
     lu, lv = terms
-    tiny, t, logS = parts
-    wa = np.exp(-t * lu - logS)
-    wb = np.exp(-t * lv - logS)
-    dS_over_S = -lu * wa - lv * wb
-    live = 1.0 / (1.0 + t) - (lu + lv) + logS / (t * t) - (1.0 / t + 2.0) * dS_over_S
+    tiny, t, ea, eb, sm1, logS, luv, k = parts
+    w = _clayton_wlog(lu, lv, ea, eb, sm1)
+    w *= k
+    out = np.subtract(1.0 / (1.0 + t), luv)
+    out += logS / (t * t)
+    out += w
+    if tiny is None:
+        return out
     # Limit of d log c / d theta as theta -> 0.
-    return np.where(tiny, 1.0 + lu + lv + lu * lv, live)
+    return np.where(tiny, 1.0 + lu + lv + lu * lv, out)
 
 
 def _clayton_h(v, u, theta):
@@ -330,7 +410,9 @@ def _clayton_h(v, u, theta):
     live = ~tiny
     if np.any(live):
         t, a, b = theta[live], lu[live], lv[live]
-        logS = _clayton_logS(a, b, t)
+        ea, eb = _clayton_expm1(a, b, t)
+        ea += eb
+        logS = np.log1p(ea, out=ea)
         out[live] = np.exp(-(t + 1.0) * a - (1.0 / t + 1.0) * logS)
     return out
 
@@ -363,51 +445,114 @@ def _log_expm1(d):
     return out
 
 
+def _neg_log(u):
+    x = np.log(u)
+    return np.negative(x, out=x)
+
+
 def _gumbel_terms(u, v):
-    x = -np.log(u)
-    y = -np.log(v)
-    return x, y, np.log(x), np.log(y)
+    # x + y, lx + ly, l_max = max(lx, ly) and Delta = l_max - l_min, where
+    # x = -log u, y = -log v, lx = log x and ly = log y
+    x = _neg_log(u)
+    y = _neg_log(v)
+    lx = np.log(x)
+    ly = np.log(y)
+    x += y
+    lmax = np.maximum(lx, ly)
+    ls = np.add(lx, ly, out=y)
+    delta = np.subtract(lx, ly, out=lx)
+    return x, ls, lmax, np.abs(delta, out=delta)
+
+
+def _gumbel_S(lmax, delta, theta):
+    # S = x^theta + y^theta = exp(theta l_max) (1 + e) with e = exp(-theta Delta)
+    # in (0, 1], so log S = theta l_max + log1p(e) and the root
+    # T = S^(1/theta) = exp(l_max + log1p(e) / theta) take no logaddexp.
+    e = theta * delta
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    l1p = np.log1p(e)
+    logS = theta * lmax
+    logS += l1p
+    l1p /= theta
+    l1p += lmax
+    return e, logS, np.exp(l1p, out=l1p)
 
 
 def _gumbel_parts(terms, theta):
-    _, _, lx, ly = terms
-    logS = np.logaddexp(theta * lx, theta * ly)
-    return logS, np.exp(logS / theta)
+    _, _, lmax, delta = terms
+    return _gumbel_S(lmax, delta, theta)
 
 
 def _gumbel_logpdf(terms, theta, parts):
-    x, y, lx, ly = terms
-    logS, T = parts
-    return (
-        -T
-        + (theta - 1.0) * (lx + ly)
-        + (x + y)
-        + (1.0 / theta - 2.0) * logS
-        + np.log(T + theta - 1.0)
-    )
+    # -T + (theta - 1)(lx + ly) + (x + y) + (1/theta - 2) log S + log(T + theta - 1)
+    s, ls, _, _ = terms
+    _, logS, T = parts
+    out = theta - 1.0
+    out *= ls
+    out -= T
+    out += s
+    tmp = 1.0 / theta
+    tmp -= 2.0
+    tmp *= logS
+    out += tmp
+    np.add(T, theta, out=tmp)
+    tmp -= 1.0
+    out += np.log(tmp, out=tmp)
+    return out
+
+
+def _gumbel_q(lmax, delta, e):
+    # q = d log S / d theta = l_max - Delta e / (1 + e): the mean of lx and ly
+    # weighted by their shares x^theta / S and y^theta / S of S
+    q = e / (1.0 + e)
+    q *= delta
+    return np.subtract(lmax, q, out=q)
 
 
 def _gumbel_score(terms, theta, parts):
-    _, _, lx, ly = terms
-    logS, T = parts
-    wa = np.exp(theta * lx - logS)
-    wb = np.exp(theta * ly - logS)
-    q = wa * lx + wb * ly  # d log S / d theta
-    dT = T * (q / theta - logS / (theta * theta))
-    return (
-        -dT
-        + (lx + ly)
-        - logS / (theta * theta)
-        + (1.0 / theta - 2.0) * q
-        + (dT + 1.0) / (T + theta - 1.0)
-    )
+    # -dT + (lx + ly) - log S / theta^2 + (1/theta - 2) q + (dT + 1) / (T + theta - 1)
+    # with dT = dT / dtheta
+    _, ls, lmax, delta = terms
+    e, logS, T = parts
+    q = _gumbel_q(lmax, delta, e)
+    lS2 = logS / (theta * theta)
+    dT = q / theta
+    dT -= lS2
+    dT *= T
+    out = np.subtract(ls, dT)
+    out -= lS2
+    tmp = np.divide(1.0, theta, out=lS2)
+    tmp -= 2.0
+    tmp *= q
+    out += tmp
+    np.add(T, theta, out=tmp)
+    tmp -= 1.0
+    dT += 1.0
+    dT /= tmp
+    out += dT
+    return out
 
 
 def _gumbel_h(v, u, theta):
-    terms = _gumbel_terms(u, v)
-    x, _, lx, _ = terms
-    logS, T = _gumbel_parts(terms, theta)
-    return np.exp(-T + (1.0 / theta - 1.0) * logS + (theta - 1.0) * lx + x)
+    # exp(-T + (1/theta - 1) log S + (theta - 1) lx + x)
+    x = _neg_log(u)
+    lx = np.log(x)
+    ly = _neg_log(v)
+    np.log(ly, out=ly)
+    lmax = np.maximum(lx, ly)
+    delta = np.subtract(lx, ly, out=ly)
+    logS, T = _gumbel_S(lmax, np.abs(delta, out=delta), theta)[1:]
+    del lmax, delta  # h runs on whole samples: hold as few arrays as the sum needs
+    out = 1.0 / theta
+    out -= 1.0
+    out *= logS
+    out -= T
+    tmp = np.subtract(theta, 1.0, out=T)
+    tmp *= lx
+    out += tmp
+    out += x
+    return np.exp(out, out=out)
 
 
 def _gumbel_root(b, lo, theta):
@@ -474,17 +619,21 @@ class _Base(NamedTuple):
     score: Callable
     h: Callable
     hinv: Callable
+    link: Callable
 
 
 _BASE = {
     CopulaFamily.GAUSSIAN: _Base(
-        _gauss_terms, _gauss_parts, _gauss_logpdf, _gauss_score, _gauss_h, _gauss_hinv
+        _gauss_terms, _gauss_parts, _gauss_logpdf, _gauss_score, _gauss_h, _gauss_hinv,
+        _gauss_link,
     ),
     CopulaFamily.CLAYTON_I: _Base(
-        _clayton_terms, _clayton_parts, _clayton_logpdf, _clayton_score, _clayton_h, _clayton_hinv
+        _clayton_terms, _clayton_parts, _clayton_logpdf, _clayton_score, _clayton_h, _clayton_hinv,
+        _clayton_link,
     ),
     CopulaFamily.GUMBEL_I: _Base(
-        _gumbel_terms, _gumbel_parts, _gumbel_logpdf, _gumbel_score, _gumbel_h, _gumbel_hinv
+        _gumbel_terms, _gumbel_parts, _gumbel_logpdf, _gumbel_score, _gumbel_h, _gumbel_hinv,
+        _gumbel_link,
     ),
 }
 _BASE[CopulaFamily.CLAYTON_II] = _BASE[CopulaFamily.CLAYTON_I]
@@ -493,6 +642,7 @@ _BASE[CopulaFamily.GUMBEL_II] = _BASE[CopulaFamily.GUMBEL_I]
 _BASE[CopulaFamily.INDEPENDENCE] = _Base(
     lambda u, v: (), lambda terms, theta: None, lambda terms, theta, parts: np.zeros_like(theta),
     lambda terms, theta, parts: np.zeros_like(theta), lambda v, u, theta: v, lambda w, u, theta: w,
+    lambda tau, at, gradient: (np.zeros_like(at), np.zeros_like(at)),
 )
 
 
@@ -542,13 +692,13 @@ def log_density(family, u1, u2, tau):
     tau = _check_tau(tau)
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
+    shape, (u1, u2, tau) = _broadcast(u1, u2, tau)
     base = _BASE[family]
     terms = base.terms(*_pick(tau < 0.0, *_branches(family, u1, u2)))
     theta = _base_theta(family, tau)
     out = base.logpdf(terms, theta, base.parts(terms, theta))
     _check_finite("log_density", out, (u1, u2, tau))
-    return _scalarize(out)
+    return _scalarize(out.reshape(shape))
 
 
 def loss_gradient(family, u1, u2, eta):
@@ -563,14 +713,14 @@ def loss_gradient(family, u1, u2, eta):
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     tau_raw, tau = _tanh_link(eta)
-    u1, u2, tau_raw, tau, eta = np.broadcast_arrays(u1, u2, tau_raw, tau, eta)
+    shape, (u1, u2, tau_raw, tau, eta) = _broadcast(u1, u2, tau_raw, tau, eta)
     neg = tau < 0.0
     base = _BASE[family]
     terms = base.terms(*_pick(neg, *_branches(family, u1, u2)))
     theta = _base_theta(family, tau)
     out = _neg_gradient(family, terms, theta, base.parts(terms, theta), neg, tau_raw, tau)
     _check_finite("loss_gradient", out, (u1, u2, eta))
-    return _scalarize(out)
+    return _scalarize(out.reshape(shape))
 
 
 class PairKernel:
@@ -593,7 +743,7 @@ class PairKernel:
 
     def take(self, rows):
         """The kernel on the given rows of (K, N) stacked data."""
-        terms = [None if t is None else tuple(x[rows] for x in t) for t in (self._pos, self._neg)]
+        terms = [None if t is None else t[:, rows] for t in (self._pos, self._neg)]
         return PairKernel(self.family, self.u1[rows], self.u2[rows], *terms)
 
     def log_density(self, eta):
@@ -601,24 +751,46 @@ class PairKernel:
         return self._evaluate(eta, gradient=False)[0]
 
     def value_and_grad(self, eta):
-        """Per-row log density and negative loss gradient at eta."""
+        """Per-row log density and negative loss gradient at eta, which
+        broadcasts to the shape of the data."""
         return self._evaluate(eta, gradient=True)
 
     def _evaluate(self, eta, gradient):
-        eta = _check_eta(eta)
-        family = self.family
-        tau_raw, tau = _tanh_link(eta)
+        # One sum tests a whole array for finiteness; only a non-finite sum,
+        # which finite values can also reach by overflow, runs the check that
+        # locates the entry.
+        eta = np.asarray(eta, dtype=float)
+        if not math.isfinite(np.add.reduce(eta, axis=None)):
+            _check_eta(eta)
+        if eta.shape != self.u1.shape:  # theta takes the shape of the data
+            eta = np.broadcast_to(eta, self.u1.shape)
+        base = _BASE[self.family]
+        tau = np.tanh(eta)  # unclamped: it decides where the clamp is active
+        at = np.abs(tau)
+        clamp = at >= TAU_CLAMP
+        np.minimum(at, TAU_CLAMP, out=at)
         neg = tau < 0.0
-        base = _BASE[family]
-        terms = _pick(neg, self._pos, self._neg)
-        theta = _base_theta(family, tau)
+        flip = self._neg is not None and neg.any()
+        terms = np.where(neg, self._neg, self._pos) if flip else self._pos
+        theta, dtheta = base.link(tau, at, gradient)
         parts = base.parts(terms, theta)
         logpdf = base.logpdf(terms, theta, parts)
-        _check_finite("log_density", logpdf, (self.u1, self.u2, tau))
+        if not math.isfinite(np.add.reduce(logpdf, axis=None)):
+            _check_finite("log_density", logpdf, (self.u1, self.u2, link_tau(eta)))
         if not gradient:
             return logpdf, None
-        grad = _neg_gradient(family, terms, theta, parts, neg, tau_raw, tau)
-        _check_finite("loss_gradient", grad, (self.u1, self.u2, eta))
+        # the chain of _neg_gradient: score * dtheta/dtau * dtau/deta, where
+        # rotation flips the sign of dtheta/dtau for tau < 0
+        grad = base.score(terms, theta, parts)
+        if flip:  # np.negative(where=neg) is slower on mixed signs
+            dtheta = np.where(neg, -dtheta, dtheta)
+        grad *= dtheta
+        dtau = np.multiply(tau, tau, out=tau)
+        np.subtract(1.0, dtau, out=dtau)
+        dtau[clamp] = 0.0
+        grad *= dtau
+        if not math.isfinite(np.add.reduce(grad, axis=None)):
+            _check_finite("loss_gradient", grad, (self.u1, self.u2, eta))
         return logpdf, grad
 
 
@@ -633,11 +805,13 @@ def prepare(family, u1, u2):
     _require_finite("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    terms = _BASE[family].terms
+
+    def terms(pair):
+        # one (n_terms, *u1.shape) array, so that one np.where picks every term
+        return np.array(_BASE[family].terms(*pair)).reshape(-1, *u1.shape)
+
     pos, negative = _branches(family, u1, u2)
-    return PairKernel(
-        family, u1, u2, terms(*pos), None if negative is None else terms(*negative)
-    )
+    return PairKernel(family, u1, u2, terms(pos), None if negative is None else terms(negative))
 
 
 def _conditioned(which):
@@ -688,13 +862,13 @@ def hfunc(family, which, u1, u2, tau):
     tau = _check_tau(tau)
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    u1, u2, tau = np.broadcast_arrays(u1, u2, tau)
+    shape, (u1, u2, tau) = _broadcast(u1, u2, tau)
     y, c = (u1, u2) if k == 0 else (u2, u1)
     out = _rotated(_BASE[family].h, family, k, y, c, tau)
     _check_finite("hfunc", out, (u1, u2, tau))
     if np.any(out < -_HFUNC_TOL) or np.any(out > 1.0 + _HFUNC_TOL):
         raise EvaluationError("hfunc left [0, 1] beyond tolerance")
-    return _scalarize(np.clip(out, 0.0, 1.0))
+    return _scalarize(np.clip(out, 0.0, 1.0).reshape(shape))
 
 
 def hinv(family, which, w, u_cond, tau):
@@ -708,10 +882,10 @@ def hinv(family, which, w, u_cond, tau):
     tau = _check_tau(tau)
     w = _clamp_u(w)
     uc = _clamp_u(u_cond)
-    w, uc, tau = np.broadcast_arrays(w, uc, tau)
+    shape, (w, uc, tau) = _broadcast(w, uc, tau)
     out = _rotated(_BASE[family].hinv, family, k, w, uc, tau)
     _check_finite("hinv", out, (w, uc, tau))
-    return _scalarize(np.clip(out, U_EPS, 1.0 - U_EPS))
+    return _scalarize(np.clip(out, U_EPS, 1.0 - U_EPS).reshape(shape))
 
 
 def sample_pair(family, tau, n, seed):

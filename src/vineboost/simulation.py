@@ -161,13 +161,18 @@ def _draw_family(rng):
     return FIT_FAMILIES[int(rng.integers(len(FIT_FAMILIES)))]
 
 
+def _count(v):
+    # a count as an integer, or nan for a repetition that failed
+    return "nan" if np.isnan(v) else int(v)
+
+
 @dataclass
 class BicopScenarioReport:
     """Per-repetition records of the bivariate scenario."""
 
     config: ScenarioConfig
     beta_hat: np.ndarray        # (n_reps, 6)
-    kept_sizes: np.ndarray      # (n_reps,)
+    kept_sizes: np.ndarray      # (n_reps,); counts are NaN where a repetition failed
     tp: np.ndarray
     fp: np.ndarray
     mae: np.ndarray
@@ -181,7 +186,12 @@ class BicopScenarioReport:
         return np.median(np.delete(self.beta_hat, [rep for rep, _ in self.failures], axis=0), axis=0)
 
     def exactly_informative_rate(self):
-        return float(np.mean((self.tp == len(INFORMATIVE)) & (self.fp == 0)))
+        """The share of the repetitions that ran which kept exactly the
+        informative covariates (NaN when none ran)."""
+        ran = ~np.isnan(self.tp)
+        if not ran.any():
+            return float("nan")
+        return float(np.mean((self.tp[ran] == len(INFORMATIVE)) & (self.fp[ran] == 0)))
 
     def write_csv(self, out_dir):
         out_dir = Path(out_dir)
@@ -195,7 +205,7 @@ class BicopScenarioReport:
             w = csv.writer(fh)
             w.writerow(["rep", "kept", "tp", "fp", "m_opt"])
             for r in range(len(self.kept_sizes)):
-                w.writerow([r, self.kept_sizes[r], self.tp[r], self.fp[r], self.m_opt[r]])
+                w.writerow([r] + [_count(a[r]) for a in (self.kept_sizes, self.tp, self.fp, self.m_opt)])
         with open(out_dir / "families.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["rep", "true_family", "selected_family"])
@@ -213,13 +223,13 @@ def run_bicop_scenario(config):
     if config.kind != "bicop":
         raise ConfigurationError("config.kind must be 'bicop'")
     n_reps = config.n_reps
-    # a failed repetition keeps NaN estimates
+    # a failed repetition keeps NaN estimates and counts
     beta_hat = np.full((n_reps, 6), np.nan)
-    kept_sizes = np.zeros(n_reps, dtype=int)
-    tp = np.zeros(n_reps, dtype=int)
-    fp = np.zeros(n_reps, dtype=int)
+    kept_sizes = np.full(n_reps, np.nan)
+    tp = np.full(n_reps, np.nan)
+    fp = np.full(n_reps, np.nan)
     mae = np.full(n_reps, np.nan)
-    m_opt = np.zeros(n_reps, dtype=int)
+    m_opt = np.full(n_reps, np.nan)
     true_family, selected_family, failures = [], [], []
 
     for rep, seed in enumerate(_rep_seeds(config.seed, n_reps)):

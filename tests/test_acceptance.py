@@ -133,7 +133,7 @@ def test_criterion_06_covariate_selection():
     )
     rep = run_bicop_scenario(config)
     rate = rep.exactly_informative_rate()
-    max_kept = int(rep.kept_sizes.max())
+    max_kept = int(np.nanmax(rep.kept_sizes))  # a failed repetition's count is NaN
     elapsed = time.perf_counter() - start
     report(6, rep.failures == [] and rate >= 0.5 and max_kept <= 15,
            f"exactly-6-informative rate {rate:.2f} (need >= 0.5), max kept {max_kept} "

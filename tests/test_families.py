@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import kendalltau, kstest
 
 from vineboost import families as F
-from vineboost.errors import DomainError, InterfaceError
+from vineboost.errors import DomainError, EvaluationError, InterfaceError
 from vineboost.families import CopulaFamily
 
 ALL = list(F.FIT_FAMILIES)
@@ -215,6 +217,125 @@ class TestPairKernel:
         u2 = np.array([0.5, np.inf, 0.6])
         with pytest.raises(InterfaceError, match="pairs row 1, column 1"):
             F.prepare(CopulaFamily.CLAYTON_I, u1, u2)
+
+    def test_finite_eta_whose_sum_overflows_passes(self):
+        # the kernel tests finiteness by one sum; finite values summing to inf
+        # must fall through to the entry check and pass it
+        kernel = F.prepare(CopulaFamily.GUMBEL_I, np.full(2, 0.3), np.full(2, 0.6))
+        eta = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            value, grad = kernel.value_and_grad(eta)
+            np.testing.assert_array_equal(kernel.log_density(eta), value)
+        np.testing.assert_array_equal(value, F.log_density(CopulaFamily.GUMBEL_I, 0.3, 0.6, F.TAU_CLAMP))
+        np.testing.assert_array_equal(grad, 0.0)
+
+    @pytest.mark.parametrize("eta", [[np.inf, -np.inf], [-np.inf, -np.inf]])
+    def test_non_finite_eta_raises_whatever_its_sum(self, eta):
+        # sums of NaN and of -inf; test_non_finite_eta_is_domain_error has NaN and +inf
+        kernel = F.prepare(CopulaFamily.CLAYTON_II, np.full(2, 0.3), np.full(2, 0.6))
+        with np.errstate(invalid="ignore"):  # inf - inf in the sum
+            with pytest.raises(DomainError, match="linear predictor must be finite"):
+                kernel.value_and_grad(np.array(eta))
+            with pytest.raises(DomainError, match="linear predictor must be finite"):
+                kernel.log_density(np.array(eta))
+
+    @pytest.mark.parametrize("part", ["logpdf", "score"])
+    def test_non_finite_result_names_its_row(self, part, monkeypatch):
+        # a base function that returns NaN at one row of stacked data: the
+        # error names that row's (u1, u2, tau), or (u1, u2, eta) for the gradient
+        fam = CopulaFamily.CLAYTON_I
+        u1 = np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
+        u2 = np.array([[0.9, 0.8, 0.1], [0.35, 0.25, 0.15]])
+        eta = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+        kernel = F.prepare(fam, u1, u2)
+        real = getattr(F._BASE[fam], part)
+
+        def nan_at_one_row(*args):
+            out = real(*args)
+            out[1, 2] = np.nan
+            return out
+
+        monkeypatch.setitem(F._BASE, fam, F._BASE[fam]._replace(**{part: nan_at_one_row}))
+        at = (1, 2)
+        if part == "logpdf":
+            name, point = "log_density", (u1[at], u2[at], F.link_tau(eta)[at])
+        else:
+            name, point = "loss_gradient", (u1[at], u2[at], eta[at])
+        message = re.escape(f"{name} produced a non-finite value at {tuple(float(x) for x in point)}")
+        with pytest.raises(EvaluationError, match=message):
+            kernel.value_and_grad(eta)
+        if part == "logpdf":
+            with pytest.raises(EvaluationError, match=message):
+                kernel.log_density(eta)
+
+
+def _clayton_logS_two_branch(lu, lv, theta):
+    """log S of the Clayton copula as computed before the one-branch form."""
+    a = -theta * lu
+    b = -theta * lv
+    m = np.maximum(a, b)
+    small = np.log1p(np.expm1(a) + np.expm1(b))
+    big = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
+    return np.where(m < 1.0, small, big)
+
+
+def _gumbel_logaddexp(lx, ly, theta):
+    """Gumbel log S, T = S^(1/theta) and q = d log S / d theta through logaddexp."""
+    logS = np.logaddexp(theta * lx, theta * ly)
+    wa = np.exp(theta * lx - logS)
+    wb = np.exp(theta * ly - logS)
+    return logS, np.exp(logS / theta), wa * lx + wb * ly
+
+
+class TestBaseFormulas:
+    """The one-branch Clayton and logaddexp-free Gumbel formulas against the
+    formulas they replaced, on a grid out to the clamp and the theta caps."""
+
+    U = np.concatenate([[F.U_EPS, 1e-8, 1e-5, 1e-3], np.linspace(0.01, 0.99, 99), [1.0 - 1e-5, 1.0 - F.U_EPS]])
+
+    def grid(self, thetas):
+        u, v, theta = (a.ravel() for a in np.meshgrid(self.U, self.U, thetas, indexing="ij"))
+        return u, v, theta
+
+    def test_clayton_log_S_and_weights(self):
+        u, v, theta = self.grid(np.geomspace(1e-8, F._CLAYTON_THETA_CAP, 25))
+        lu, lv = F._clayton_terms(u, v)
+        tiny, t, ea, eb, sm1, logS, _, _ = F._clayton_parts((lu, lv), theta)
+        assert tiny is None and t is theta
+        ref_logS = _clayton_logS_two_branch(lu, lv, theta)
+        np.testing.assert_allclose(logS, ref_logS, rtol=1e-12, atol=1e-15)
+        # wa = u^-theta / S, wb = v^-theta / S as exponentials of the reference log S
+        ref_w = lu * np.exp(-theta * lu - ref_logS) + lv * np.exp(-theta * lv - ref_logS)
+        np.testing.assert_allclose(F._clayton_wlog(lu, lv, ea, eb, sm1), ref_w, rtol=1e-12, atol=1e-15)
+
+    def test_gumbel_log_S_root_and_weights(self):
+        u, v, theta = self.grid(np.geomspace(1.0, F._GUMBEL_THETA_CAP, 25))
+        s, ls, lmax, delta = F._gumbel_terms(u, v)
+        x, y = -np.log(u), -np.log(v)
+        lx, ly = np.log(x), np.log(y)
+        np.testing.assert_array_equal(s, x + y)
+        np.testing.assert_array_equal(ls, lx + ly)
+        np.testing.assert_array_equal(lmax, np.maximum(lx, ly))
+        np.testing.assert_array_equal(delta, np.maximum(lx, ly) - np.minimum(lx, ly))
+        e, logS, T = F._gumbel_parts((s, ls, lmax, delta), theta)
+        ref_logS, ref_T, ref_q = _gumbel_logaddexp(lx, ly, theta)
+        np.testing.assert_allclose(logS, ref_logS, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(T, ref_T, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(F._gumbel_q(lmax, delta, e), ref_q, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("fam", [CopulaFamily.CLAYTON_I, CopulaFamily.GUMBEL_I])
+    def test_finite_at_the_cap_and_the_clamp(self, fam):
+        # theta at its cap and u, v at the clamp: S spans its widest range
+        base = F._BASE[fam]
+        cap = F._CLAYTON_THETA_CAP if fam == CopulaFamily.CLAYTON_I else F._GUMBEL_THETA_CAP
+        edge = np.array([F.U_EPS, 1.0 - F.U_EPS])
+        u, v = (a.ravel() for a in np.meshgrid(edge, edge))
+        theta = np.full(u.shape, cap)
+        terms = base.terms(u, v)
+        parts = base.parts(terms, theta)
+        for out in (*terms, *(p for p in parts if p is not None), base.logpdf(terms, theta, parts),
+                    base.score(terms, theta, parts), base.h(v, u, theta), base.h(u, v, theta)):
+            assert np.all(np.isfinite(out))
 
 
 class TestHFunctions:

@@ -4,6 +4,7 @@ import pytest
 from vineboost.boosting import BoostControl
 from vineboost.errors import ConfigurationError
 from vineboost.simulation import (
+    INFORMATIVE,
     TRUE_BETA,
     ScenarioConfig,
     benchmark_rvine_structure,
@@ -160,6 +161,32 @@ class TestBicopScenario:
         coefficients = (tmp_path / "coefficients.csv").read_text().splitlines()
         assert coefficients[1] == "0," + ",".join(["nan"] * 6)
         assert (tmp_path / "mae.csv").read_text().splitlines()[1:3] == ["0,nan", "1,nan"]
+
+    def test_failed_repetition_is_not_a_zero_selection(self, tmp_path, monkeypatch):
+        import vineboost.boosting as bst
+
+        fit_pair, calls = bst.fit_pair, []
+
+        def failing_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise FloatingPointError("forced failure")
+            return fit_pair(*args, **kwargs)
+
+        monkeypatch.setattr(bst, "fit_pair", failing_first)
+        cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=2, family="gaussian",
+                             control=quick_control(60), seed=17)
+        rep = run_bicop_scenario(cfg)
+        assert [r for r, _ in rep.failures] == [0]
+        counts = (rep.kept_sizes, rep.tp, rep.fp, rep.m_opt)
+        assert all(np.isnan(a[0]) and np.isfinite(a[1]) for a in counts)
+        # the rate is over the one repetition that ran
+        exact = rep.tp[1] == len(INFORMATIVE) and rep.fp[1] == 0
+        assert rep.exactly_informative_rate() == float(exact)
+        rep.write_csv(tmp_path)
+        selection = (tmp_path / "selection.csv").read_text().splitlines()
+        assert selection[1] == "0,nan,nan,nan,nan"
+        assert selection[2] == "1," + ",".join(str(int(a[1])) for a in counts)
 
     def test_csv_writer(self, tmp_path):
         cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=2, family="gaussian",
