@@ -17,13 +17,16 @@ arrays.  All functions are pure; samplers take an explicit seed.
 
 For boosting, :func:`prepare` computes the data-only terms of one family
 on fixed data once; the returned :class:`PairKernel` then evaluates the log
-density and the loss gradient at each new linear predictor together.  The
-elementwise functions stay the reference it is tested against.
+density and the loss gradient at each new linear predictor together.  Each
+family has one link from tau to its parameter, ``_Base.link``, and one loss
+core, ``_loss``, which chains the score through that link to eta: the kernel,
+:func:`log_density` and :func:`loss_gradient` all go through it, and the
+h-functions take their parameter from the same link.  The reference formulas
+they are tested against live with the tests.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -198,52 +201,21 @@ def theta_to_tau(family, theta):
 
 def _check_eta(eta):
     eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise DomainError("linear predictor must be finite")
     return eta
 
 
-def _tanh_link(eta):
-    # Unclamped tanh(eta) (it decides where the clamp is active) and tau.
-    tau_raw = np.tanh(eta)
-    return tau_raw, np.clip(tau_raw, -TAU_CLAMP, TAU_CLAMP)
-
-
 def link_tau(eta):
     """Fisher link from the linear predictor to Kendall's tau, clamped."""
-    return _scalarize(_tanh_link(_check_eta(eta))[1])
+    return _scalarize(np.clip(np.tanh(_check_eta(eta)), -TAU_CLAMP, TAU_CLAMP))
 
 
-def _base_theta(family, tau):
-    """Evaluation parameter of the unrotated base copula, with caps."""
-    if family == CopulaFamily.GAUSSIAN:
-        return np.sin(0.5 * np.pi * tau)
-    at = np.abs(tau)
-    if family in _CLAYTONS:
-        return np.minimum(2.0 * at / (1.0 - at), _CLAYTON_THETA_CAP)
-    if family in _GUMBELS:
-        return np.minimum(1.0 / (1.0 - at), _GUMBEL_THETA_CAP)
-    return np.zeros_like(at)
-
-
-def _theta_prime(family, tau):
-    """d(base theta)/d|tau|, zero where the evaluation cap is active."""
-    if family == CopulaFamily.GAUSSIAN:
-        return 0.5 * np.pi * np.cos(0.5 * np.pi * tau)
-    at = np.abs(tau)
-    if family in _CLAYTONS:
-        live = 2.0 * at / (1.0 - at) < _CLAYTON_THETA_CAP
-        return np.where(live, 2.0 / (1.0 - at) ** 2, 0.0)
-    if family in _GUMBELS:
-        live = 1.0 / (1.0 - at) < _GUMBEL_THETA_CAP
-        return np.where(live, 1.0 / (1.0 - at) ** 2, 0.0)
-    return np.zeros_like(at)
-
-
-# The fused links of :class:`PairKernel`: from tau = tanh(eta), unclamped, and
-# at = |link_tau(eta)|, the evaluation parameter of :func:`_base_theta` and,
-# when asked for, d theta / d|tau| of :func:`_theta_prime`, by the same
-# arithmetic.
+# The link of each base family, ``_Base.link(tau, at, gradient)``: from tau,
+# whose sign alone is read, and at = |tau| (clamped where tau came from eta),
+# the evaluation parameter theta of the unrotated base copula, capped, and
+# when asked for d theta / d|tau| (d theta / d tau for the Gaussian, which
+# is not rotated), which is zero where the cap is active.
 
 _HALF_PI = 0.5 * np.pi
 
@@ -348,16 +320,19 @@ def _clayton_expm1(lu, lv, theta):
     return np.expm1(ea, out=ea), np.expm1(eb, out=eb)
 
 
-def _clayton_parts(terms, theta):
+def _clayton_tiny(theta):
     # Rows below the tiny-theta threshold take the independence limits; they
-    # are evaluated at theta = 1 so no division by zero occurs.  ``tiny`` is
-    # None when no row is tiny.
-    lu, lv = terms
+    # are evaluated at t = 1 so no division by zero occurs.  Returns the mask
+    # of those rows, None when no row is tiny, and t.
     tiny = theta < _CLAYTON_THETA_TINY
     if tiny.any():
-        t = np.where(tiny, 1.0, theta)
-    else:
-        tiny, t = None, theta
+        return tiny, np.where(tiny, 1.0, theta)
+    return None, theta
+
+
+def _clayton_parts(terms, theta):
+    lu, lv = terms
+    tiny, t = _clayton_tiny(theta)
     ea, eb = _clayton_expm1(lu, lv, t)
     sm1 = ea + eb  # S - 1
     k = 1.0 / t
@@ -402,33 +377,21 @@ def _clayton_score(terms, theta, parts):
 
 
 def _clayton_h(v, u, theta):
-    theta, lu, lv = np.broadcast_arrays(theta, np.log(u), np.log(v))
-    out = np.empty_like(lu)
-    tiny = theta < _CLAYTON_THETA_TINY
-    if np.any(tiny):
-        out[tiny] = np.exp(lv[tiny])
-    live = ~tiny
-    if np.any(live):
-        t, a, b = theta[live], lu[live], lv[live]
-        ea, eb = _clayton_expm1(a, b, t)
-        ea += eb
-        logS = np.log1p(ea, out=ea)
-        out[live] = np.exp(-(t + 1.0) * a - (1.0 / t + 1.0) * logS)
-    return out
+    lu, lv = np.log(u), np.log(v)
+    tiny, t = _clayton_tiny(theta)
+    ea, eb = _clayton_expm1(lu, lv, t)
+    ea += eb
+    logS = np.log1p(ea, out=ea)
+    out = np.exp(-(t + 1.0) * lu - (1.0 / t + 1.0) * logS)
+    return out if tiny is None else np.where(tiny, np.exp(lv), out)
 
 
 def _clayton_hinv(w, u, theta):
-    theta, lw, lu = np.broadcast_arrays(theta, np.log(w), np.log(u))
-    out = np.empty_like(lw)
-    tiny = theta < _CLAYTON_THETA_TINY
-    if np.any(tiny):
-        out[tiny] = np.exp(lw[tiny])
-    live = ~tiny
-    if np.any(live):
-        t, a, c = theta[live], lu[live], lw[live]
-        inner = np.exp(-t * a) * np.expm1(-t * c / (1.0 + t))
-        out[live] = np.exp(-np.log1p(inner) / t)
-    return out
+    lw, lu = np.log(w), np.log(u)
+    tiny, t = _clayton_tiny(theta)
+    inner = np.exp(-t * lu) * np.expm1(-t * lw / (1.0 + t))
+    out = np.exp(-np.log1p(inner) / t)
+    return out if tiny is None else np.where(tiny, np.exp(lw), out)
 
 
 def _log_expm1(d):
@@ -642,7 +605,7 @@ _BASE[CopulaFamily.GUMBEL_II] = _BASE[CopulaFamily.GUMBEL_I]
 _BASE[CopulaFamily.INDEPENDENCE] = _Base(
     lambda u, v: (), lambda terms, theta: None, lambda terms, theta, parts: np.zeros_like(theta),
     lambda terms, theta, parts: np.zeros_like(theta), lambda v, u, theta: v, lambda w, u, theta: w,
-    lambda tau, at, gradient: (np.zeros_like(at), np.zeros_like(at)),
+    lambda tau, at, gradient: (np.zeros_like(at), np.zeros_like(at) if gradient else None),
 )
 
 
@@ -673,14 +636,37 @@ def _pick(neg, pos, negative):
     return tuple(np.where(neg, b, a) for a, b in zip(pos, negative))
 
 
-def _neg_gradient(family, terms, theta, parts, neg, tau_raw, tau):
-    """-d loss / d eta: the score chained through theta(tau) and tau(eta)."""
-    dtheta_dtau = _theta_prime(family, tau)
-    if _FLIPS[family][1] is not None:
-        # theta is a function of |tau|; rotation flips the sign for tau < 0.
-        dtheta_dtau = np.where(neg, -dtheta_dtau, dtheta_dtau)
-    dtau_deta = np.where(np.abs(tau_raw) >= TAU_CLAMP, 0.0, 1.0 - tau_raw * tau_raw)
-    return _BASE[family].score(terms, theta, parts) * dtheta_dtau * dtau_deta
+def _loss(family, terms, tau, clamp, gradient, neg=None):
+    """The log density of ``family`` at its picked data ``terms`` and tau,
+    and -d loss / d eta when ``gradient`` is set (else None).
+
+    With ``clamp`` (the only way to ask for the gradient), ``tau`` is
+    tanh(eta), unclamped: |tau| is clamped at TAU_CLAMP, where d tau / d eta
+    is zero, and ``tau`` is overwritten by d tau / d eta.  The gradient is
+    score * d theta / d|tau| * d tau / d eta, where ``neg`` marks the rows
+    whose terms came from the negative branch: there the rotation flips the
+    sign of d theta / d|tau|.  ``neg`` is None when there are none.
+    """
+    base = _BASE[family]
+    at = np.abs(tau)
+    if clamp:
+        on_clamp = at >= TAU_CLAMP if gradient else None
+        np.minimum(at, TAU_CLAMP, out=at)
+    theta, dtheta = base.link(tau, at, gradient)
+    del at  # the density runs on whole samples: drop what it does not need
+    parts = base.parts(terms, theta)
+    logpdf = base.logpdf(terms, theta, parts)
+    if not gradient:
+        return logpdf, None
+    grad = base.score(terms, theta, parts)
+    if neg is not None:  # np.negative(where=neg) is slower on mixed signs
+        dtheta = np.where(neg, -dtheta, dtheta)
+    grad *= dtheta
+    dtau = np.multiply(tau, tau, out=tau)
+    np.subtract(1.0, dtau, out=dtau)
+    dtau[on_clamp] = 0.0
+    grad *= dtau
+    return logpdf, grad
 
 
 def log_density(family, u1, u2, tau):
@@ -693,10 +679,9 @@ def log_density(family, u1, u2, tau):
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
     shape, (u1, u2, tau) = _broadcast(u1, u2, tau)
-    base = _BASE[family]
-    terms = base.terms(*_pick(tau < 0.0, *_branches(family, u1, u2)))
-    theta = _base_theta(family, tau)
-    out = base.logpdf(terms, theta, base.parts(terms, theta))
+    # each row's terms from its branch only: half the work of both branches
+    terms = _BASE[family].terms(*_pick(tau < 0.0, *_branches(family, u1, u2)))
+    out = _loss(family, terms, tau, False, False)[0]
     _check_finite("log_density", out, (u1, u2, tau))
     return _scalarize(out.reshape(shape))
 
@@ -712,13 +697,11 @@ def loss_gradient(family, u1, u2, eta):
     eta = _check_eta(eta)
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
-    tau_raw, tau = _tanh_link(eta)
-    shape, (u1, u2, tau_raw, tau, eta) = _broadcast(u1, u2, tau_raw, tau, eta)
+    shape, (u1, u2, eta) = _broadcast(u1, u2, eta)
+    tau = np.tanh(eta)
     neg = tau < 0.0
-    base = _BASE[family]
-    terms = base.terms(*_pick(neg, *_branches(family, u1, u2)))
-    theta = _base_theta(family, tau)
-    out = _neg_gradient(family, terms, theta, base.parts(terms, theta), neg, tau_raw, tau)
+    terms = _BASE[family].terms(*_pick(neg, *_branches(family, u1, u2)))
+    out = _loss(family, terms, tau, True, True, None if _FLIPS[family][1] is None else neg)[1]
     _check_finite("loss_gradient", out, (u1, u2, eta))
     return _scalarize(out.reshape(shape))
 
@@ -730,8 +713,8 @@ class PairKernel:
     rotation branches once; each evaluation at a linear predictor then costs
     only the parameter-dependent part.  :meth:`value_and_grad` returns
     ``log_density(family, u1, u2, link_tau(eta))`` and
-    ``loss_gradient(family, u1, u2, eta)`` from shared intermediates, with
-    the same checks.
+    ``loss_gradient(family, u1, u2, eta)`` from shared intermediates of the
+    same loss core, with the same checks.
     """
 
     def __init__(self, family, u1, u2, pos, negative):
@@ -756,40 +739,17 @@ class PairKernel:
         return self._evaluate(eta, gradient=True)
 
     def _evaluate(self, eta, gradient):
-        # One sum tests a whole array for finiteness; only a non-finite sum,
-        # which finite values can also reach by overflow, runs the check that
-        # locates the entry.
-        eta = np.asarray(eta, dtype=float)
-        if not math.isfinite(np.add.reduce(eta, axis=None)):
-            _check_eta(eta)
+        eta = _check_eta(eta)
         if eta.shape != self.u1.shape:  # theta takes the shape of the data
             eta = np.broadcast_to(eta, self.u1.shape)
-        base = _BASE[self.family]
         tau = np.tanh(eta)  # unclamped: it decides where the clamp is active
-        at = np.abs(tau)
-        clamp = at >= TAU_CLAMP
-        np.minimum(at, TAU_CLAMP, out=at)
         neg = tau < 0.0
         flip = self._neg is not None and neg.any()
         terms = np.where(neg, self._neg, self._pos) if flip else self._pos
-        theta, dtheta = base.link(tau, at, gradient)
-        parts = base.parts(terms, theta)
-        logpdf = base.logpdf(terms, theta, parts)
-        if not math.isfinite(np.add.reduce(logpdf, axis=None)):
+        logpdf, grad = _loss(self.family, terms, tau, True, gradient, neg if flip else None)
+        if not np.isfinite(logpdf).all():  # tau for the message only when it is needed
             _check_finite("log_density", logpdf, (self.u1, self.u2, link_tau(eta)))
-        if not gradient:
-            return logpdf, None
-        # the chain of _neg_gradient: score * dtheta/dtau * dtau/deta, where
-        # rotation flips the sign of dtheta/dtau for tau < 0
-        grad = base.score(terms, theta, parts)
-        if flip:  # np.negative(where=neg) is slower on mixed signs
-            dtheta = np.where(neg, -dtheta, dtheta)
-        grad *= dtheta
-        dtau = np.multiply(tau, tau, out=tau)
-        np.subtract(1.0, dtau, out=dtau)
-        dtau[clamp] = 0.0
-        grad *= dtau
-        if not math.isfinite(np.add.reduce(grad, axis=None)):
+        if gradient:
             _check_finite("loss_gradient", grad, (self.u1, self.u2, eta))
         return logpdf, grad
 
@@ -832,7 +792,9 @@ def _rotated(base_fn, family, k, y, c, tau):
     back where the conditioned variable was flipped.  Rows are gathered by
     sign only when the signs are mixed.
     """
-    theta = _base_theta(family, tau)
+    at = np.abs(tau)
+    theta = _BASE[family].link(tau, at, False)[0]
+    del at  # h runs on whole samples: hold no array the base function does not need
 
     def apply(flips, y, c, theta):
         fy, fc = flips[k], flips[1 - k]

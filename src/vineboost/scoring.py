@@ -12,6 +12,7 @@ caller.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,8 +92,8 @@ def energy_score(forecast, obs, method="pairwise"):
 def variogram_score(forecast, obs, order=0.5, weights=None):
     """Variogram score of order p with optional nonnegative pair weights."""
     x, y = _members_obs(forecast, obs)
-    if order <= 0:
-        raise ConfigurationError("order must be positive")
+    if not (math.isfinite(order) and order > 0):
+        raise ConfigurationError(f"order must be finite and positive, got {order!r}")
     d = x.shape[1]
     if weights is None:
         w = np.ones((d, d))

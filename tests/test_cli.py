@@ -227,6 +227,12 @@ class TestScore:
         assert run(["score", "--forecasts", fc, "--observations", ob,
                     "--out-scores", tmp_path / "s.csv", "--out-dm", tmp_path / "dm.csv"]) == 2
 
+    @pytest.mark.parametrize("order", ["nan", "inf", "0"])
+    def test_bad_variogram_order_exits_2(self, tmp_path, order):
+        fc, ob = self.make_inputs(tmp_path)
+        assert run(["score", "--forecasts", fc, "--observations", ob, "--vs-order", order,
+                    "--out-scores", tmp_path / "s.csv", "--out-dm", tmp_path / "dm.csv"]) == 2
+
     def test_determinism(self, tmp_path):
         fc, ob = self.make_inputs(tmp_path)
         outs = []

@@ -18,6 +18,72 @@ def nll(fam, u1, u2, eta):
     return -F.log_density(fam, u1, u2, F.link_tau(eta))
 
 
+# Reference formulas for the copula parameter, the log density and the loss
+# gradient, written elementwise and apart from the library's link and loss
+# core.  They reuse the base copulas' data terms, parts, log density and score
+# (TestBaseFormulas checks those against older formulas) and the rotation
+# table's branch pick (TestLogDensity checks the rotation identities).
+
+CLAYTONS = (CopulaFamily.CLAYTON_I, CopulaFamily.CLAYTON_II)
+GUMBELS = (CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II)
+
+
+def oracle_theta(fam, tau):
+    """Evaluation parameter of the unrotated base copula, with caps."""
+    if fam == CopulaFamily.GAUSSIAN:
+        return np.sin(0.5 * np.pi * tau)
+    at = np.abs(tau)
+    if fam in CLAYTONS:
+        return np.minimum(2.0 * at / (1.0 - at), F._CLAYTON_THETA_CAP)
+    if fam in GUMBELS:
+        return np.minimum(1.0 / (1.0 - at), F._GUMBEL_THETA_CAP)
+    return np.zeros_like(at)
+
+
+def oracle_theta_prime(fam, tau):
+    """d(base theta)/d|tau|, zero where the evaluation cap is active."""
+    if fam == CopulaFamily.GAUSSIAN:
+        return 0.5 * np.pi * np.cos(0.5 * np.pi * tau)
+    at = np.abs(tau)
+    if fam in CLAYTONS:
+        live = 2.0 * at / (1.0 - at) < F._CLAYTON_THETA_CAP
+        return np.where(live, 2.0 / (1.0 - at) ** 2, 0.0)
+    if fam in GUMBELS:
+        live = 1.0 / (1.0 - at) < F._GUMBEL_THETA_CAP
+        return np.where(live, 1.0 / (1.0 - at) ** 2, 0.0)
+    return np.zeros_like(at)
+
+
+def _oracle_terms(fam, u1, u2, neg):
+    return F._BASE[fam].terms(*F._pick(neg, *F._branches(fam, u1, u2)))
+
+
+def oracle_log_density(fam, u1, u2, tau):
+    """Log density at (u1, u2) for Kendall's tau, with no clamp on tau."""
+    u1, u2, tau = np.broadcast_arrays(F._clamp_u(u1), F._clamp_u(u2), np.asarray(tau, dtype=float))
+    base = F._BASE[fam]
+    terms = _oracle_terms(fam, u1, u2, tau < 0.0)
+    theta = oracle_theta(fam, tau)
+    return base.logpdf(terms, theta, base.parts(terms, theta))
+
+
+def oracle_loss_gradient(fam, u1, u2, eta):
+    """-d loss / d eta: the score chained through theta(tau) and tau(eta)."""
+    tau_raw = np.tanh(np.asarray(eta, dtype=float))
+    tau = np.clip(tau_raw, -F.TAU_CLAMP, F.TAU_CLAMP)
+    u1, u2, tau_raw, tau = np.broadcast_arrays(F._clamp_u(u1), F._clamp_u(u2), tau_raw, tau)
+    neg = tau < 0.0
+    base = F._BASE[fam]
+    terms = _oracle_terms(fam, u1, u2, neg)
+    theta = oracle_theta(fam, tau)
+    dtheta_dtau = oracle_theta_prime(fam, tau)
+    if fam in CLAYTONS + GUMBELS:
+        # theta is a function of |tau|; rotation flips the sign for tau < 0.
+        dtheta_dtau = np.where(neg, -dtheta_dtau, dtheta_dtau)
+    dtau_deta = np.where(np.abs(tau_raw) >= F.TAU_CLAMP, 0.0, 1.0 - tau_raw * tau_raw)
+    return base.score(terms, theta, base.parts(terms, theta)) * dtheta_dtau * dtau_deta
+
+
 class TestTransforms:
     def test_tau_to_theta_known_values(self):
         assert F.tau_to_theta(CopulaFamily.GAUSSIAN, 0.5) == pytest.approx(np.sin(np.pi / 4), abs=1e-12)
@@ -157,8 +223,50 @@ class TestLossGradient:
             assert F.loss_gradient(CopulaFamily.GAUSSIAN, 0.3, 0.7, eta) == 0.0
 
 
+def _assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+SIX = ALL + [CopulaFamily.INDEPENDENCE]
+
+
+class TestLossCore:
+    """The link and the public log density and loss gradient against the oracles."""
+
+    # -0.0 and 0.0, the clamp, and |tau| -> 1 past the clamp and the caps
+    SPECIAL = np.array([-0.0, 0.0, F.TAU_CLAMP, -F.TAU_CLAMP, 1.0 - 1e-8, -(1.0 - 1e-8)])
+    TAU = np.concatenate([SPECIAL, np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 20_001)])
+
+    @pytest.mark.parametrize("fam", SIX)
+    def test_link_matches_oracle_bitwise(self, fam):
+        theta, dtheta = F._BASE[fam].link(self.TAU, np.abs(self.TAU), True)
+        _assert_bitwise(theta, oracle_theta(fam, self.TAU))
+        _assert_bitwise(dtheta, oracle_theta_prime(fam, self.TAU))
+        _assert_bitwise(F._BASE[fam].link(self.TAU, np.abs(self.TAU), False)[0], theta)
+
+    @pytest.mark.parametrize("fam", SIX)
+    def test_log_density_matches_oracle(self, fam):
+        u1, u2 = TestPairKernel.data(7)
+        tau = np.resize(np.concatenate([self.SPECIAL, np.linspace(-0.99, 0.99, 21)]), len(u1))
+        np.testing.assert_allclose(F.log_density(fam, u1, u2, tau), oracle_log_density(fam, u1, u2, tau),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fam", SIX)
+    def test_loss_gradient_matches_oracle(self, fam):
+        eta_grid = np.concatenate([-TestPairKernel.ETA, TestPairKernel.ETA])
+        u1, u2 = TestPairKernel.data(len(eta_grid))
+        eta = np.repeat(eta_grid, len(u1) // len(eta_grid))
+        np.testing.assert_allclose(F.loss_gradient(fam, u1, u2, eta), oracle_loss_gradient(fam, u1, u2, eta),
+                                   rtol=1e-12, atol=0.0)
+        # one eta broadcast over the data
+        np.testing.assert_allclose(F.loss_gradient(fam, u1, u2, -0.7), oracle_loss_gradient(fam, u1, u2, -0.7),
+                                   rtol=1e-12, atol=0.0)
+
+
 class TestPairKernel:
-    """The fused boosting kernel against the elementwise reference functions."""
+    """The fused boosting kernel against the oracles."""
 
     # 0 is the Clayton tiny-theta branch; |eta| >= 5 sits on the tau clamp;
     # |eta| >= 1.7 passes the Clayton theta cap and |eta| >= 2.3 the Gumbel one.
@@ -180,8 +288,8 @@ class TestPairKernel:
         eta = np.repeat(eta_grid, len(u1) // len(eta_grid))
         kernel = F.prepare(fam, u1, u2)
         value, grad = kernel.value_and_grad(eta)
-        ref_value = F.log_density(fam, u1, u2, F.link_tau(eta))
-        ref_grad = F.loss_gradient(fam, u1, u2, eta)
+        ref_value = oracle_log_density(fam, u1, u2, np.clip(np.tanh(eta), -F.TAU_CLAMP, F.TAU_CLAMP))
+        ref_grad = oracle_loss_gradient(fam, u1, u2, eta)
         np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(kernel.log_density(eta), ref_value, rtol=1e-12, atol=0.0)
@@ -218,26 +326,28 @@ class TestPairKernel:
         with pytest.raises(InterfaceError, match="pairs row 1, column 1"):
             F.prepare(CopulaFamily.CLAYTON_I, u1, u2)
 
+    # Warnings are errors in these two: a finiteness test by one sum would
+    # warn of the overflow and of inf - inf.
+
+    @pytest.mark.filterwarnings("error")
     def test_finite_eta_whose_sum_overflows_passes(self):
-        # the kernel tests finiteness by one sum; finite values summing to inf
-        # must fall through to the entry check and pass it
+        # finite values summing to inf pass the finiteness check
         kernel = F.prepare(CopulaFamily.GUMBEL_I, np.full(2, 0.3), np.full(2, 0.6))
         eta = np.array([1e308, 1e308])
-        with np.errstate(over="ignore"):
-            value, grad = kernel.value_and_grad(eta)
-            np.testing.assert_array_equal(kernel.log_density(eta), value)
+        value, grad = kernel.value_and_grad(eta)
+        np.testing.assert_array_equal(kernel.log_density(eta), value)
         np.testing.assert_array_equal(value, F.log_density(CopulaFamily.GUMBEL_I, 0.3, 0.6, F.TAU_CLAMP))
         np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eta", [[np.inf, -np.inf], [-np.inf, -np.inf]])
     def test_non_finite_eta_raises_whatever_its_sum(self, eta):
         # sums of NaN and of -inf; test_non_finite_eta_is_domain_error has NaN and +inf
         kernel = F.prepare(CopulaFamily.CLAYTON_II, np.full(2, 0.3), np.full(2, 0.6))
-        with np.errstate(invalid="ignore"):  # inf - inf in the sum
-            with pytest.raises(DomainError, match="linear predictor must be finite"):
-                kernel.value_and_grad(np.array(eta))
-            with pytest.raises(DomainError, match="linear predictor must be finite"):
-                kernel.log_density(np.array(eta))
+        with pytest.raises(DomainError, match="linear predictor must be finite"):
+            kernel.value_and_grad(np.array(eta))
+        with pytest.raises(DomainError, match="linear predictor must be finite"):
+            kernel.log_density(np.array(eta))
 
     @pytest.mark.parametrize("part", ["logpdf", "score"])
     def test_non_finite_result_names_its_row(self, part, monkeypatch):
@@ -396,8 +506,6 @@ class TestHInverse:
             assert np.all(np.diff(out) >= 0.0)
 
 
-SIX = ALL + [CopulaFamily.INDEPENDENCE]
-
 # Rotation code (degrees) of each family for tau >= 0 and for tau < 0.
 ROTATIONS = {
     CopulaFamily.GAUSSIAN: (0, 0),
@@ -412,7 +520,7 @@ def _by_rotation(fam, tau, arm, *args):
     # Evaluate each rotation code's rows with its ladder arm, gathering by code.
     pos, neg = ROTATIONS[fam]
     rot = np.where(tau < 0.0, neg, pos)
-    theta = F._base_theta(fam, tau)
+    theta = oracle_theta(fam, tau)
     out = np.empty_like(args[0])
     for code in np.unique(rot):
         m = rot == code
@@ -499,12 +607,6 @@ def _rotation_inputs():
     return a, b, taus
 
 
-def _assert_bitwise(actual, expected):
-    actual, expected = np.asarray(actual), np.asarray(expected)
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
-    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
-
-
 class TestRotationTable:
     """The flip table against the rotation-code ladders it replaced, bit for bit."""
 
@@ -530,9 +632,6 @@ class TestRotationTable:
             F.hfunc(fam, "bogus", 0.3, 0.7, 0.0)
         with pytest.raises(DomainError, match="which"):
             F.hinv(fam, "bogus", 0.3, 0.7, 0.0)
-
-
-GUMBELS = [CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II]
 
 
 def _gumbel_root_full(b, lo, theta):

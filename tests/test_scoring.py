@@ -123,6 +123,11 @@ class TestVariogramScore:
         with pytest.raises(ConfigurationError):
             S.variogram_score(np.zeros((3, 2)), np.zeros(2), order=0.0)
 
+    @pytest.mark.parametrize("order", [np.nan, np.inf, -np.inf])
+    def test_order_must_be_finite_and_positive(self, order):
+        with pytest.raises(ConfigurationError, match="order must be finite and positive"):
+            S.variogram_score(np.zeros((3, 2)), np.zeros(2), order=order)
+
 
 class TestDMTest:
     def test_identical_series_degenerate(self):
