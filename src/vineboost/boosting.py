@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FitError, InterfaceError
-from .families import CopulaFamily, _require_finite, link_tau, log_density, prepare
+from .families import _BASE, CopulaFamily, _require_finite, link_tau, log_density, prepare
 
 __all__ = [
     "BoostControl",
@@ -118,6 +118,8 @@ def _checked_data(pairs, Z):
     Z = np.asarray(Z, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InterfaceError("pairs must be an (N, 2) array")
+    if len(pairs) == 0:
+        raise InterfaceError("pairs must hold at least one row")
     if Z.ndim != 2 or Z.shape[0] != pairs.shape[0]:
         raise InterfaceError("Z must be an (N, p+1) array aligned with pairs")
     _require_finite("pairs", pairs)
@@ -144,13 +146,14 @@ def _standardize(Z):
 
 _CANDIDATE_ERRORS = (EvaluationError, FloatingPointError, ConfigurationError)
 
-# From this design size up, the candidate families share one loop and one
-# GEMM per iteration; below it each family is boosted alone.  Interleaving
-# the families' kernel evaluations costs 6-10% of their time in cache misses,
-# and the GEMM wins that back only once the design no longer fits a core's
-# L2 cache: at N=1000 the shared loop was 13% slower with p=201 (1.6 MB) and
-# 17% faster with p=301 (2.4 MB), on a 2-vCPU Xeon with 2 MiB of L2 per core
-# and OpenBLAS on one thread.
+# From this design size up, a stack holding several families scans the
+# design with one GEMM per iteration; below it with one batched GEMV.  The
+# GEMM reads the design once per iteration instead of once per row, which
+# pays once the design no longer fits a core's L2 cache: for fit_pair over
+# the five families at N=1000, the GEMM took 1.46x the GEMV's time with p=101
+# (0.8 MiB), 0.99-1.08x with p=201 to 351 (1.5 to 2.7 MiB) and 0.71-0.77x
+# with p=401 to 501 (3.1 to 3.8 MiB), on a 2-vCPU Xeon with 2 MiB of L2 per
+# core and OpenBLAS on one thread.  The threshold sits in the even band.
 _GEMM_MIN_BYTES = 2 << 20
 
 
@@ -159,8 +162,9 @@ class _Design:
     """The standardized covariates of a stack's rows in :func:`_boost_paths`.
 
     Either one (N, p+1) design shared by every row (the families and refits
-    of one fit), or a leading axis with one design per row (the K folds of
-    CV).  A row trains on its rows before ``n_train`` and holds out the rest.
+    of one fit), or a leading axis with one design per kernel row (the K
+    folds of CV).  A row trains on its rows before ``n_train`` and holds out
+    the rest.
     """
 
     Zs: np.ndarray
@@ -172,7 +176,7 @@ class _Design:
     n_train: int
 
     def row(self, e):
-        """The design of stack row e."""
+        """The design of kernel row e."""
         return self if self.Zs.ndim == 2 else _Design(*(getattr(self, f.name)[e] for f in fields(self)))
 
 
@@ -184,66 +188,155 @@ def _design(Z):
 
 
 class _Stack:
-    """One family's live edges in :func:`_boost_paths`: its kernel on their
-    rows, their scan columns and linear predictors, and their records, one
-    column per live edge."""
+    """The live rows of :func:`_boost_paths`: their linear predictors, loss
+    values, scan columns and records, one column per live row, and the
+    kernels that evaluate them.
 
-    def __init__(self, family, kernel, edges, stop, scan, blocks_T, n):
+    A row is row ``drow`` of the kernel of family ``fam``, and ``rows`` are
+    the initial stack positions of the live rows.  The rows stay in the
+    order of the families, so the live rows of each family are one span;
+    ``groups`` lists the families of each base copula.  ``kernels`` holds
+    each family's kernel on its live rows; the joined kernel of a group is
+    made when first evaluated and kept until a row of its families leaves.
+    """
+
+    def __init__(self, families, kernels, groups, fam, drow, stop, held, scan, blocks_T, n):
         width = scan[0].shape[1]
-        self.family, self.kernel, self.edges, self.stop = family, kernel, edges, stop[edges]
-        self.cols, self.mask, self.colsq = (a[edges] for a in scan)
-        self.blocks_T = [blocks_T[e] for e in edges]
-        self.eta = np.zeros((len(edges), n))
-        self.numer = np.zeros((len(edges), width))
-        self.grad = None
-        m_max = int(self.stop.max())
-        self.selected = np.zeros((m_max, len(edges)), dtype=np.int64)
-        self.increments = np.zeros((m_max, len(edges)))
-        self.risk = np.zeros((m_max + 1, len(edges)))
+        self.families, self.kernels, self.groups = families, kernels, groups
+        self.rows, self.fam, self.drow, self.stop, self.held = np.arange(len(stop)), fam, drow, stop, held
+        self.cols, self.mask, self.colsq = scan
+        self.blocks_T = blocks_T
+        self.joined = {}  # families of one base -> their joined kernel
+        self.eta = np.zeros((len(stop), n))
+        self.logpdf = np.zeros((len(stop), n))
+        self.grad = np.zeros((len(stop), n))
+        self.numer = np.zeros((len(stop), width))
+        m_max = int(stop.max())
+        self.selected = np.zeros((m_max, len(stop)), dtype=np.int64)
+        self.increments = np.zeros((m_max, len(stop)))
+        self.risk = np.zeros((m_max + 1, len(stop)))
         self._index()
 
     def _index(self):
-        self.offsets = np.arange(len(self.edges)) * self.numer.shape[1]
-        self.last = int(self.stop.max())
-        # the live edges grouped by their first held-out row, 0 for those
-        # training on all rows: each edge's risk rows
-        held = np.array([Zs_T.shape[1] % self.eta.shape[1] for Zs_T in self.blocks_T])
-        self.risk_rows = [(slice(None) if len(set(held)) == 1 else held == t, t) for t in np.unique(held)]
+        self.offsets = np.arange(len(self.rows)) * self.numer.shape[1]
+        bounds = np.searchsorted(self.fam, np.arange(len(self.kernels) + 1))
+        self.spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.last = [int(self.stop[s].max(initial=-1)) for s in self.spans]
+        # the live rows grouped by their first held-out row, 0 for those
+        # training on all rows: each row's risk rows
+        held = np.unique(self.held)
+        self.risk_rows = [(slice(None) if len(held) == 1 else self.held == t, t) for t in held]
 
     def keep(self, rows):
-        """Drop every live edge but those at the positions ``rows``."""
-        self.kernel = _take(self.kernel, rows, len(self.edges))
-        self.blocks_T = [self.blocks_T[i] for i in rows]
-        for name in ("edges", "stop", "cols", "mask", "colsq", "eta", "numer", "grad"):
+        """Drop every live row but those at the positions ``rows``."""
+        for f, span in enumerate(self.spans):
+            kept = rows[(rows >= span.start) & (rows < span.stop)] - span.start
+            if len(kept) < span.stop - span.start:
+                self.kernels[f] = self.kernel(f, kept) if len(kept) else None
+                self.joined = {key: kernel for key, kernel in self.joined.items() if f not in key}
+        if self.blocks_T is not None:
+            self.blocks_T = [self.blocks_T[i] for i in rows]
+        for name in ("rows", "fam", "drow", "stop", "held", "cols", "mask", "colsq", "eta", "logpdf", "grad",
+                     "numer"):
             setattr(self, name, getattr(self, name)[rows])
         for name in ("selected", "increments", "risk"):
             setattr(self, name, getattr(self, name)[:, rows])
         self._index()
 
-    def scan(self):
-        """``numer`` row e = the exact GEMV of edge e's training block with g[e]."""
-        for Zs_T, g, numer in zip(self.blocks_T, self.grad, self.numer):
-            np.matmul(Zs_T, g[: Zs_T.shape[1]], out=numer[: Zs_T.shape[0]])
+    def kernel(self, f, rows):
+        """The kernel of family f on the rows at the positions ``rows`` of its
+        span; its kernel itself when that is all of them."""
+        return _take(self.kernels[f], rows, self.spans[f].stop - self.spans[f].start)
+
+    def evaluate(self, m):
+        """The log density of every live row at iteration m into ``logpdf``
+        and, for the families that go on after m, the gradient into ``grad``,
+        with one kernel call per base copula for each.  Returns family
+        position -> the exception that stopped that family."""
+        failed = {}
+        for group in self.groups:
+            going = [f for f in group if self.last[f] > m]
+            ending = [f for f in group if self.last[f] == m]
+            for fams, gradient in ((going, True), (ending, False)):
+                if fams:
+                    failed.update(self._evaluate(fams, gradient))
+        return failed
+
+    def _evaluate(self, fams, gradient):
+        spans = [self.spans[f] for f in fams]
+        if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
+            at = slice(spans[0].start, spans[-1].stop)
+        else:  # same-base families apart in the order of the kernels
+            at = np.concatenate([np.arange(s.start, s.stop) for s in spans])
+        kernel = self._kernel(fams)
+        try:
+            if gradient:
+                logpdf, grad = kernel.value_and_grad(self.eta[at])
+            else:
+                logpdf, grad = kernel.log_density(self.eta[at]), None
+        except _CANDIDATE_ERRORS as exc:
+            if len(fams) == 1:
+                return {fams[0]: exc}
+            failed = {}
+            for f in fams:  # family by family: only those that raise drop out
+                failed.update(self._evaluate([f], gradient))
+            return failed
+        if isinstance(at, slice) and at.stop - at.start == len(self.rows):  # every row: no copy
+            self.logpdf = logpdf
+            if gradient:
+                self.grad = grad
+        else:
+            self.logpdf[at] = logpdf
+            if gradient:
+                self.grad[at] = grad
+        return {}
+
+    def _kernel(self, fams):
+        """The kernel of the families ``fams``, of one base copula, on their live rows."""
+        if len(fams) == 1:
+            return self.kernels[fams[0]]
+        key = tuple(fams)
+        if key not in self.joined:
+            self.joined[key] = self.kernels[fams[0]]._join(*(self.kernels[f] for f in fams[1:]))
+        return self.joined[key]
+
+    def record_risk(self, m, n):
+        """risk[m] of every live row: the mean of its risk rows' negative log density."""
+        for rows, t in self.risk_rows:
+            self.risk[m, rows] = -(np.add.reduce(self.logpdf[rows, t:], axis=1) / (n - t))
+
+    def scan(self, Zs, gemm):
+        """``numer`` row i = the GEMV of live row i's training block with its
+        gradient: one batched GEMV on a shared design, one call per row on
+        the rows' own blocks, or with ``gemm`` one GEMM, which sums in
+        another order."""
+        if gemm:
+            self.numer = self.grad @ Zs
+        elif self.blocks_T is None:
+            np.matmul(Zs.T, self.grad[:, :, None], out=self.numer[:, :, None])
+        else:
+            for Zs_T, g, numer in zip(self.blocks_T, self.grad, self.numer):
+                np.matmul(Zs_T, g[: Zs_T.shape[1]], out=numer[: Zs_T.shape[0]])
 
     def step(self, m, nu, Zs):
-        """Iteration m of every live edge, from its scan ``numer`` = Zs.T @ g."""
+        """Iteration m of every live row, from its scan ``numer`` = Zs.T @ g."""
         numer, colsq = self.numer, self.colsq
         score = np.where(self.mask, numer * numer / colsq, -np.inf)
         at = self.offsets + score.argmax(axis=1)
         step = nu * numer.take(at) / colsq.take(at)
         cols = self.cols.take(at)
-        update = Zs[:, cols] if Zs.ndim == 2 else Zs[self.edges, :, cols].T
+        update = Zs[:, cols] if Zs.ndim == 2 else Zs[self.drow, :, cols].T
         update *= step
         self.eta += update.T
         self.selected[m - 1] = cols
         self.increments[m - 1] = step
 
     def path(self, i, design):
-        """The finished path of the live edge at position i, on its row's design."""
+        """The finished path of the live row at position i, on its design."""
         m = int(self.stop[i])
         selected, increments = self.selected[:m, i].copy(), self.increments[:m, i].copy()
         return BoostPath(
-            family=self.family,
+            family=self.families[self.fam[i]],
             selected=selected,
             increments=increments,
             risk=self.risk[: m + 1, i].copy(),
@@ -273,107 +366,117 @@ def _take(kernel, rows, n_rows):
 
 
 def _boost_paths(kernels, design, nu, m_stop, cols=None):
-    """Boost every family in ``kernels`` (family -> PairKernel) on one design.
+    """Boost the rows of every kernel in ``kernels`` (family -> PairKernel)
+    on one design, as one stack.
 
-    Each kernel holds the same E rows as (E, N) arrays: vine edges on one
-    shared design, or CV folds on a design with one entry per row (see
-    :class:`_Design`).  Row e runs ``m_stop[e]`` iterations.  Each iteration
-    evaluates a family's kernel once on its (E, N) linear predictor (the log
-    density gives risk[m], the gradient drives step m + 1) and scans the
-    covariates with the GEMV of each row's training block and its gradient
-    there, so every row takes the path it takes alone, bit for bit; the
-    coordinate choice and the step are then made for all rows at once.  The
-    risk is the mean negative log density over a row's held-out rows, or
-    over all rows when it has none.  A row leaves the stack when it has run
-    its iterations.  ``cols[e]`` restricts row e's scan to those columns of
-    the design, copied contiguously, and its picks are mapped back to the
-    design's column indices.
+    Each kernel holds K rows as (K, N) arrays: vine edges on one shared
+    design, or CV folds on a design with one entry per kernel row (see
+    :class:`_Design`).  ``m_stop[family]`` gives each row of the family's
+    kernel its iteration count, and ``cols[family]``, if given, its scan
+    columns of a shared design, which are copied contiguously (once for
+    rows with the same columns) and whose picks are mapped back to the
+    design's column indices.  Each iteration evaluates the log
+    density of every row (it gives risk[m]) and its gradient (it drives step
+    m + 1) with one kernel call per base copula: families of one base, such
+    as Clayton I and II, share one joined kernel (``PairKernel._join``).
+    It then scans the covariates of every row and makes the coordinate
+    choice and the step for all rows at once.  The risk is the mean negative
+    log density over a row's held-out rows, or over all rows when it has
+    none.  A row leaves the stack when it has run its iterations.
 
-    On a shared design of at least ``_GEMM_MIN_BYTES`` without held-out rows
-    several families share one loop instead, and one product of all their
-    gradient rows with the design scans for all of them.  That product sums
+    The scan is one batched GEMV of the shared design with every row's
+    gradient or, with ``cols`` or held-out rows, one GEMV of each row's
+    training block, so every row takes the path it takes alone, bit for
+    bit.  On a shared design of at least ``_GEMM_MIN_BYTES`` a stack of
+    several families scans with one GEMM, ``G @ Zs``, instead.  That sums
     in another order, and where a step overshoots (the risk rises) the
     rounding difference can grow into another path, so such a row is
     boosted again alone.
 
-    Returns family -> one :class:`BoostPath` per row, or the exception that
-    stopped it.  A kernel that raises drops its family out of the loop and
-    the others go on; a family stacking several rows is then boosted again
-    one row at a time, so each row ends with the path or the error it has
-    alone.
+    Returns family -> one :class:`BoostPath` per kernel row, or the
+    exception that stopped it.  A family whose kernel raises drops out and
+    the others go on: a joined kernel that raises is evaluated again family
+    by family at that iteration.  A family with several live rows is then
+    boosted again one row at a time, so each row ends with the path or the
+    error it has alone.
     """
-    n_edges = len(m_stop)
+    families = list(kernels)
     n, p1 = design.Zs.shape[-2:]
-    scans = [np.arange(p1)] * n_edges if cols is None else list(cols)
-    gemm = (cols is None and len(kernels) > 1 and design.Zs.ndim == 2 and design.n_train == n
-            and design.Zs.nbytes >= _GEMM_MIN_BYTES)
-    if len(kernels) > 1 and not gemm:
-        return {family: _boost_paths({family: kernel}, design, nu, m_stop, cols)[family]
-                for family, kernel in kernels.items()}
+    counts = [len(m_stop[family]) for family in families]
+    fam = np.repeat(np.arange(len(families)), counts)
+    drow = np.concatenate([np.arange(c) for c in counts])
+    stop = np.concatenate([np.asarray(m_stop[family], dtype=np.int64) for family in families])
+    scans = [np.arange(p1)] * len(stop) if cols is None else [s for family in families for s in cols[family]]
 
     # each row's scan columns, padded to one width: unselectable past the end
-    designs = [design.row(e) for e in range(n_edges)]
+    designs = [design.row(e) for e in drow]
     width = max(len(s) for s in scans)
-    scan = (np.zeros((n_edges, width), dtype=np.int64), np.zeros((n_edges, width), dtype=bool),
-            np.ones((n_edges, width)))
-    for e, (s, r) in enumerate(zip(scans, designs)):
-        scan[0][e, : len(s)] = s
-        scan[1][e, : len(s)] = ~r.degenerate[s]
-        scan[2][e, : len(s)] = r.colsq_safe[s]
-    blocks_T = [r.Zs[: r.n_train].T if cols is None else np.ascontiguousarray(r.Zs[: r.n_train][:, s]).T
-                for r, s in zip(designs, scans)]
-    stop = np.asarray(m_stop, dtype=np.int64)
+    scan = (np.zeros((len(stop), width), dtype=np.int64), np.zeros((len(stop), width), dtype=bool),
+            np.ones((len(stop), width)))
+    for r, (s, d) in enumerate(zip(scans, designs)):
+        scan[0][r, : len(s)] = s
+        scan[1][r, : len(s)] = ~d.degenerate[s]
+        scan[2][r, : len(s)] = d.colsq_safe[s]
+    shared = cols is None and design.Zs.ndim == 2 and design.n_train == n
+    gemm = shared and len(kernels) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
+    if shared:
+        blocks_T = None
+    elif cols is None:  # CV: the training rows of each row's own design
+        blocks_T = [d.Zs[: d.n_train].T for d in designs]
+    else:  # one contiguous copy of the shared design per distinct column set
+        copies = {}
+        for s in scans:
+            if tuple(s) not in copies:
+                copies[tuple(s)] = np.ascontiguousarray(design.Zs[:, s]).T
+        blocks_T = [copies[tuple(s)] for s in scans]
+    held = np.array([d.n_train % n for d in designs])
+    bases = {}
+    for f, family in enumerate(families):
+        bases.setdefault(_BASE[family], []).append(f)
 
     def alone(stack, i):
-        e = stack.edges[i]
-        kernel = _take(stack.kernel, [i], len(stack.edges))
-        return _boost_paths({stack.family: kernel}, designs[e], nu, stop[[e]],
-                            None if cols is None else [scans[e]])[stack.family][0]
+        r, f = stack.rows[i], stack.fam[i]
+        family = families[f]
+        return _boost_paths({family: stack.kernel(f, [i - stack.spans[f].start])}, designs[r], nu,
+                            {family: stop[[r]]}, None if cols is None else {family: [scans[r]]})[family][0]
 
-    out = {family: [ConfigurationError("no selectable covariates") for _ in range(n_edges)]
-           for family in kernels}
-    edges = np.flatnonzero(scan[1].any(axis=1))
-    stacks = [_Stack(family, _take(kernel, edges, n_edges), edges, stop, scan, blocks_T, n)
-              for family, kernel in kernels.items()] if len(edges) else []
-    for m in range(int(stop[edges].max(initial=0)) + 1):
+    out = {family: [ConfigurationError("no selectable covariates") for _ in range(c)]
+           for family, c in zip(families, counts)}
+    rows = np.flatnonzero(scan[1].any(axis=1))
+    if not len(rows):
+        return out
+    stack = _Stack(families, [kernels[family] for family in families], list(bases.values()), fam, drow, stop,
+                   held, scan, blocks_T, n)
+    del kernels  # the stack's now: data of rows that leave is freed with their kernels
+    if len(rows) < len(stop):
+        stack.keep(rows)
+    for m in range(int(stack.stop.max()) + 1):
         if m > 0:
-            if gemm:
-                G = np.concatenate([s.grad for s in stacks])
-                numers = np.split(G @ design.Zs, np.cumsum([len(s.edges) for s in stacks])[:-1])
-                for s, numer in zip(stacks, numers):
-                    s.numer = numer
-            for s in stacks:
-                if not gemm:
-                    s.scan()
-                s.step(m, nu, design.Zs)
-        live = []
-        for s in stacks:
-            try:
-                if m < s.last:
-                    logpdf, s.grad = s.kernel.value_and_grad(s.eta)
-                else:
-                    logpdf = s.kernel.log_density(s.eta)
-            except _CANDIDATE_ERRORS as exc:
-                for i, e in enumerate(s.edges):
-                    out[s.family][e] = exc if len(s.edges) == 1 else alone(s, i)
-                continue
-            for rows, t in s.risk_rows:  # the mean of each edge's risk rows
-                s.risk[m, rows] = -(np.add.reduce(logpdf[rows, t:], axis=1) / (n - t))
-            leave = s.stop == m
-            if gemm and m > 0:
-                leave |= s.risk[m] > s.risk[m - 1]
-            if leave.any():
-                for i in np.flatnonzero(leave):
-                    e = s.edges[i]
-                    rose = gemm and m > 0 and s.risk[m, i] > s.risk[m - 1, i]
-                    out[s.family][e] = alone(s, i) if rose else s.path(i, designs[e])
-                if leave.all():
-                    continue
-                s.keep(np.flatnonzero(~leave))
-            live.append(s)
-        stacks = live
-        if not stacks:
+            stack.scan(design.Zs, gemm)
+            stack.step(m, nu, design.Zs)
+        failed = stack.evaluate(m)
+        stack.record_risk(m, n)
+        leave = stack.stop == m
+        rose = stack.risk[m] > stack.risk[m - 1] if gemm and m > 0 else None
+        if rose is not None:
+            leave |= rose
+        for f in failed:
+            leave[stack.spans[f]] = True
+        if not leave.any():
+            continue
+        for i in np.flatnonzero(leave):
+            f = stack.fam[i]
+            if f in failed:
+                span = stack.spans[f]
+                path = failed[f] if span.stop - span.start == 1 else alone(stack, i)
+            elif rose is not None and rose[i]:
+                path = alone(stack, i)
+            else:
+                path = stack.path(i, designs[stack.rows[i]])
+            out[families[f]][stack.drow[i]] = path
+        if leave.all():
             break
+        stack.keep(np.flatnonzero(~leave))
     return out
 
 
@@ -386,7 +489,7 @@ def boost(pairs, Z, family, control):
     """
     pairs, Z = _checked_data(pairs, Z)
     kernel = prepare(family, pairs[None, :, 0], pairs[None, :, 1])
-    (path,) = _boost_paths({family: kernel}, _design(Z), control.nu, [control.m_stop])[family]
+    (path,) = _boost_paths({family: kernel}, _design(Z), control.nu, {family: [control.m_stop]})[family]
     if isinstance(path, Exception):
         raise path
     return path
@@ -439,7 +542,7 @@ def _cv_paths(pairs, Z, family, control):
     del train  # a fold's standardized rows, already copied into Zs
     design = _Design(Zs, *map(np.array, zip(*stats)), n_train)
     kernel = prepare(family, pairs[order, 0], pairs[order, 1])
-    paths = _boost_paths({family: kernel}, design, control.nu, [control.m_stop] * k)[family]
+    paths = _boost_paths({family: kernel}, design, control.nu, {family: [control.m_stop] * k})[family]
     for path in paths:
         if isinstance(path, Exception):
             raise path
@@ -581,9 +684,9 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
     ``Z`` whose standardized design is ``design``.  The main paths of every
     edge and family run through one :func:`_boost_paths` call.  Each edge
     then stops and, with ``refit``, is deselected on its own; the refits of
-    one family run in one more call, each edge on its own survivor columns.
-    Returns family -> one :class:`FittedPairCopula` per edge, or the
-    :class:`EvaluationError`, ``FloatingPointError`` or
+    every family and edge run in one more call, each on its own survivor
+    columns.  Returns family -> one :class:`FittedPairCopula` per edge, or
+    the :class:`EvaluationError`, ``FloatingPointError`` or
     :class:`ConfigurationError` that stopped the family on that edge.
     With CV stopping, too few rows for the folds raise
     :class:`ConfigurationError` before any family is boosted.
@@ -592,9 +695,9 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
     if control.stopping == "cv":
         _check_fold_rows(pairs.shape[1], control.cv_folds)
     kernels = {family: prepare(family, pairs[..., 0], pairs[..., 1]) for family in families}
-    results = _boost_paths(kernels, design, control.nu, [control.m_stop] * n_edges)
+    results = _boost_paths(kernels, design, control.nu, {family: [control.m_stop] * n_edges for family in kernels})
+    stops = {}
     for family, fits in results.items():
-        stops = {}
         for e, path in enumerate(fits):
             if isinstance(path, Exception):
                 continue
@@ -606,20 +709,26 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
             except _CANDIDATE_ERRORS as exc:
                 fits[e] = exc
                 continue
-            stops[e] = (m_opt, survivors)
-        redo = [e for e, (m_opt, survivors) in stops.items() if survivors and m_opt > 0]
-        refits = {}
-        if redo:
-            kernel = _take(kernels[family], redo, n_edges)
-            paths = _boost_paths({family: kernel}, design, control.nu, [stops[e][0] for e in redo],
-                                 [np.array(stops[e][1]) for e in redo])[family]
-            refits = dict(zip(redo, paths))
-        for e, (m_opt, survivors) in stops.items():
-            refit_path = refits.get(e)
-            if isinstance(refit_path, Exception):
-                fits[e] = refit_path
-            else:
-                fits[e] = _fitted(fits[e], m_opt, survivors, refit_path)
+            stops[family, e] = (m_opt, survivors)
+    redo = {}
+    for (family, e), (m_opt, survivors) in stops.items():
+        if survivors and m_opt > 0:
+            redo.setdefault(family, []).append(e)
+    refits = {}
+    if redo:
+        m_opts = {family: [stops[family, e][0] for e in edges] for family, edges in redo.items()}
+        cols = {family: [np.array(stops[family, e][1]) for e in edges] for family, edges in redo.items()}
+        # the refit stack takes the kernels over (pop), so that the data of
+        # its rows is freed as they leave it
+        paths = _boost_paths({family: _take(kernels.pop(family), edges, n_edges) for family, edges in redo.items()},
+                             design, control.nu, m_opts, cols)
+        refits = {(family, e): path for family, edges in redo.items() for e, path in zip(edges, paths[family])}
+    for (family, e), (m_opt, survivors) in stops.items():
+        refit_path = refits.get((family, e))
+        if isinstance(refit_path, Exception):
+            results[family][e] = refit_path
+        else:
+            results[family][e] = _fitted(results[family][e], m_opt, survivors, refit_path)
     return results
 
 

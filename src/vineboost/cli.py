@@ -281,24 +281,26 @@ def cmd_score(args):
             if (t, m) not in ensembles:
                 raise InterfaceError(f"forecast rows missing for time {t!r}, method {m!r}")
 
-    computed = {}
+    # every score first, so that a failing one leaves no partial file
+    computed, rows = {}, []
+    for t in times:
+        for m in methods:
+            members = ensembles[(t, m)]
+            row = [t, m]
+            for s in scores_wanted:
+                if s == "es":
+                    val = energy_score(members, obs[t], "pairwise")
+                elif s == "es-mc":
+                    val = energy_score(members, obs[t], "consecutive")
+                else:
+                    val = variogram_score(members, obs[t], order=args.vs_order)
+                computed[(t, m, s)] = val
+                row.append(_fmt(val))
+            rows.append(row)
     with open(args.out_scores, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "method"] + scores_wanted)
-        for t in times:
-            for m in methods:
-                members = ensembles[(t, m)]
-                row = [t, m]
-                for s in scores_wanted:
-                    if s == "es":
-                        val = energy_score(members, obs[t], "pairwise")
-                    elif s == "es-mc":
-                        val = energy_score(members, obs[t], "consecutive")
-                    else:
-                        val = variogram_score(members, obs[t], order=args.vs_order)
-                    computed[(t, m, s)] = val
-                    row.append(_fmt(val))
-                writer.writerow(row)
+        writer.writerows(rows)
 
     with open(args.out_dm, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -729,6 +729,27 @@ class PairKernel:
         terms = [None if t is None else t[:, rows] for t in (self._pos, self._neg)]
         return PairKernel(self.family, self.u1[rows], self.u2[rows], *terms)
 
+    def _join(self, *others):
+        """One kernel on the rows of this kernel and then those of ``others``,
+        (K, N) kernels of families with the same base copula (Clayton I and
+        II, or Gumbel I and II): only their data terms differ, so one
+        evaluation serves all their rows, each as its own kernel would.
+
+        The joined kernel holds the only copy of the data: each given kernel
+        keeps its values, as a view of the joined arrays."""
+        kernels = (self, *others)
+        joined = {}
+        for name in ("u1", "u2", "_pos", "_neg"):
+            if getattr(self, name) is None:
+                continue
+            joined[name] = np.concatenate([getattr(k, name) for k in kernels], axis=-2)
+            start = 0
+            for k in kernels:
+                rows = getattr(k, name).shape[-2]
+                setattr(k, name, joined[name][..., start: start + rows, :])
+                start += rows
+        return PairKernel(self.family, joined["u1"], joined["u2"], joined["_pos"], joined.get("_neg"))
+
     def log_density(self, eta):
         """Per-row log density at tau = link_tau(eta)."""
         return self._evaluate(eta, gradient=False)[0]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from vineboost import families as F
 from vineboost.boosting import BoostControl, BoostPath, FittedPairCopula
 from vineboost.errors import ConfigurationError, EvaluationError, FitError, InterfaceError
 from vineboost.families import CopulaFamily
+
+from oracles import oracle_log_density, oracle_loss_gradient
 
 TRUE_BETA6 = np.array([0.1, -0.2, 0.3, 0.2, 0.5, -0.4])
 
@@ -136,9 +139,23 @@ class TestBoost:
         with pytest.raises(InterfaceError):
             B.boost(np.full((10, 2), 0.5), np.ones((9, 2)), CopulaFamily.GAUSSIAN, BoostControl())
 
+    @pytest.mark.parametrize("fit", [
+        lambda pairs, Z: B.boost(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl()),
+        lambda pairs, Z: B.fit_family(pairs, Z, CopulaFamily.GAUSSIAN, BoostControl()),
+        lambda pairs, Z: B.fit_pair(pairs, Z, F.FIT_FAMILIES),
+    ], ids=["boost", "fit_family", "fit_pair"])
+    def test_zero_rows_is_an_interface_error(self, fit):
+        with pytest.raises(InterfaceError, match="^pairs must hold at least one row$"):
+            fit(np.zeros((0, 2)), np.ones((0, 3)))
+
+
+def oracle_risk(family, u1, u2, eta):
+    """The mean negative log likelihood at the linear predictor eta, by the oracles."""
+    return -np.mean(oracle_log_density(family, u1, u2, np.clip(np.tanh(eta), -F.TAU_CLAMP, F.TAU_CLAMP)))
+
 
 def reference_boost(pairs, Z, family, control, selectable=None):
-    """The boosting loop on the elementwise functions, as the fused path's reference."""
+    """The boosting loop on the oracle loss and gradient, as the fused path's reference."""
     u1, u2 = pairs[:, 0], pairs[:, 1]
     n, p1 = Z.shape
     Zs, mu, sigma, has_intercept, degenerate = B._standardize(Z)
@@ -155,9 +172,9 @@ def reference_boost(pairs, Z, family, control, selectable=None):
     active = np.zeros(m_stop + 1, dtype=np.int64)
     beta_std = np.zeros(p1)
     eta = np.zeros(n)
-    risk[0] = -np.mean(F.log_density(family, u1, u2, F.link_tau(eta)))
+    risk[0] = oracle_risk(family, u1, u2, eta)
     for m in range(1, m_stop + 1):
-        g = F.loss_gradient(family, u1, u2, eta)
+        g = oracle_loss_gradient(family, u1, u2, eta)
         numer = Zs.T @ g
         score = np.where(mask, numer * numer / colsq_safe, -np.inf)
         j = int(np.argmax(score))
@@ -165,23 +182,23 @@ def reference_boost(pairs, Z, family, control, selectable=None):
         beta_std[j] += step
         eta += step * Zs[:, j]
         selected[m - 1] = j
-        risk[m] = -np.mean(F.log_density(family, u1, u2, F.link_tau(eta)))
+        risk[m] = oracle_risk(family, u1, u2, eta)
         active[m] = int(np.count_nonzero(beta_std))
     return selected, risk, active
 
 
 def holdout_risk_path(path, pairs, Z):
     """Held-out mean negative log likelihood after each iteration of ``path``."""
-    kernel = F.prepare(path.family, pairs[:, 0], pairs[:, 1])
+    u1, u2 = pairs[:, 0], pairs[:, 1]
     Zs = (Z - path.mu) / path.sigma
     if path.has_intercept:
         Zs[:, 0] = 1.0
     eta = np.zeros(len(pairs))
     out = np.zeros(path.m_stop + 1)
-    out[0] = -np.mean(kernel.log_density(eta))
+    out[0] = oracle_risk(path.family, u1, u2, eta)
     for m in range(1, path.m_stop + 1):
         eta += path.increments[m - 1] * Zs[:, path.selected[m - 1]]
-        out[m] = -np.mean(kernel.log_density(eta))
+        out[m] = oracle_risk(path.family, u1, u2, eta)
     return out
 
 
@@ -284,23 +301,64 @@ class TestFamilyBatched:
         np.testing.assert_array_equal(winner.beta, fits[winner.family].beta)
 
 
+class TestOneStack:
+    """The rows of every family in one stack: the batched scan and the
+    joined kernels give each row the path it has alone."""
+
+    @pytest.mark.parametrize("n, p1, rows", [(500, 12, 20), (450, 102, 5), (1000, 502, 5), (301, 21, 7)])
+    def test_batched_scan_matches_per_row_gemv(self, n, p1, rows):
+        rng = np.random.default_rng(n + p1)
+        Zs = rng.standard_normal((n, p1))
+        grad = rng.standard_normal((rows, n))
+        batched = SimpleNamespace(grad=grad, numer=np.zeros((rows, p1)), blocks_T=None)
+        per_row = SimpleNamespace(grad=grad, numer=np.zeros((rows, p1)), blocks_T=[Zs.T] * rows)
+        B._Stack.scan(batched, Zs, False)
+        B._Stack.scan(per_row, Zs, False)
+        np.testing.assert_array_equal(batched.numer.view(np.uint64), per_row.numer.view(np.uint64))
+        for g, numer in zip(grad, batched.numer):
+            np.testing.assert_array_equal(numer.view(np.uint64), (Zs.T @ g).view(np.uint64))
+
+    def test_same_base_families_apart_fit_as_alone(self):
+        # Gumbel I and II are joined across the Gaussian rows between them
+        fams = [CopulaFamily.GUMBEL_II, CopulaFamily.GAUSSIAN, CopulaFamily.GUMBEL_I]
+        pairs, Z = sign_changing_data(CopulaFamily.GUMBEL_I, 21)
+        control = BoostControl(m_stop=150, nu=0.3)
+        fits = B._fit_families(pairs, Z, fams, control)
+        assert list(fits) == fams
+        for family, fit in fits.items():
+            alone = B.fit_family(pairs, Z, family, control)
+            for path, alone_path in ((fit.risk_path, alone.risk_path), (fit.refit_path, alone.refit_path)):
+                for name in ("selected", "increments", "risk", "active_size"):
+                    np.testing.assert_array_equal(getattr(path, name), getattr(alone_path, name))
+            for name in ("m_opt", "survivors", "kept", "aic"):
+                assert getattr(fit, name) == getattr(alone, name)
+            np.testing.assert_array_equal(fit.beta, alone.beta)
+
+
 def failing_prepare(prepare, failing, at, made=None, folds=None):
     """``prepare`` whose kernels count their gradient evaluations and, for
     ``failing`` families, raise at iteration ``at``; each kernel is also
     appended to ``made``.  With ``folds`` = (K, bad) only the K-row kernels
     of CV fail, and of the kernels taken from their rows only those holding
-    a fold in ``bad``."""
+    a fold in ``bad``.  A joined kernel raises the error of its first member
+    that fails, and otherwise counts one evaluation for each member."""
 
     class Kernel:
-        def __init__(self, kernel, rows=None):
+        def __init__(self, kernel, rows=None, members=None):
             self.kernel, self.rows, self.calls = kernel, rows, 0
+            self.members = members or [self]
 
-        def value_and_grad(self, eta):
-            self.calls += 1
+        def fail(self):
             fails = self.rows is None or bool(set(self.rows) & folds[1])
-            if self.kernel.family in failing and self.calls > at and fails:
+            if self.kernel.family in failing and self.calls >= at and fails:
                 where = "" if self.rows is None else f" on folds {self.rows}"
                 raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {at}{where}")
+
+        def value_and_grad(self, eta):
+            for member in self.members:
+                member.fail()
+            for member in self.members:
+                member.calls += 1
             return self.kernel.value_and_grad(eta)
 
         def log_density(self, eta):
@@ -308,6 +366,9 @@ def failing_prepare(prepare, failing, at, made=None, folds=None):
 
         def take(self, rows):
             return Kernel(self.kernel.take(rows), None if self.rows is None else [self.rows[i] for i in rows])
+
+        def _join(self, *others):
+            return Kernel(self.kernel._join(*(k.kernel for k in others)), members=[self, *others])
 
     def patched(family, u1, u2):
         rows = None if folds is None else list(range(len(u1))) if len(u1) == folds[0] else []

@@ -232,6 +232,8 @@ class TestScore:
         fc, ob = self.make_inputs(tmp_path)
         assert run(["score", "--forecasts", fc, "--observations", ob, "--vs-order", order,
                     "--out-scores", tmp_path / "s.csv", "--out-dm", tmp_path / "dm.csv"]) == 2
+        # the scores are computed before any output is written
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "dm.csv").exists()
 
     def test_determinism(self, tmp_path):
         fc, ob = self.make_inputs(tmp_path)

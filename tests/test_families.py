@@ -11,77 +11,13 @@ from vineboost import families as F
 from vineboost.errors import DomainError, EvaluationError, InterfaceError
 from vineboost.families import CopulaFamily
 
+from oracles import CLAYTONS, GUMBELS, oracle_log_density, oracle_loss_gradient, oracle_theta, oracle_theta_prime
+
 ALL = list(F.FIT_FAMILIES)
 
 
 def nll(fam, u1, u2, eta):
     return -F.log_density(fam, u1, u2, F.link_tau(eta))
-
-
-# Reference formulas for the copula parameter, the log density and the loss
-# gradient, written elementwise and apart from the library's link and loss
-# core.  They reuse the base copulas' data terms, parts, log density and score
-# (TestBaseFormulas checks those against older formulas) and the rotation
-# table's branch pick (TestLogDensity checks the rotation identities).
-
-CLAYTONS = (CopulaFamily.CLAYTON_I, CopulaFamily.CLAYTON_II)
-GUMBELS = (CopulaFamily.GUMBEL_I, CopulaFamily.GUMBEL_II)
-
-
-def oracle_theta(fam, tau):
-    """Evaluation parameter of the unrotated base copula, with caps."""
-    if fam == CopulaFamily.GAUSSIAN:
-        return np.sin(0.5 * np.pi * tau)
-    at = np.abs(tau)
-    if fam in CLAYTONS:
-        return np.minimum(2.0 * at / (1.0 - at), F._CLAYTON_THETA_CAP)
-    if fam in GUMBELS:
-        return np.minimum(1.0 / (1.0 - at), F._GUMBEL_THETA_CAP)
-    return np.zeros_like(at)
-
-
-def oracle_theta_prime(fam, tau):
-    """d(base theta)/d|tau|, zero where the evaluation cap is active."""
-    if fam == CopulaFamily.GAUSSIAN:
-        return 0.5 * np.pi * np.cos(0.5 * np.pi * tau)
-    at = np.abs(tau)
-    if fam in CLAYTONS:
-        live = 2.0 * at / (1.0 - at) < F._CLAYTON_THETA_CAP
-        return np.where(live, 2.0 / (1.0 - at) ** 2, 0.0)
-    if fam in GUMBELS:
-        live = 1.0 / (1.0 - at) < F._GUMBEL_THETA_CAP
-        return np.where(live, 1.0 / (1.0 - at) ** 2, 0.0)
-    return np.zeros_like(at)
-
-
-def _oracle_terms(fam, u1, u2, neg):
-    return F._BASE[fam].terms(*F._pick(neg, *F._branches(fam, u1, u2)))
-
-
-def oracle_log_density(fam, u1, u2, tau):
-    """Log density at (u1, u2) for Kendall's tau, with no clamp on tau."""
-    u1, u2, tau = np.broadcast_arrays(F._clamp_u(u1), F._clamp_u(u2), np.asarray(tau, dtype=float))
-    base = F._BASE[fam]
-    terms = _oracle_terms(fam, u1, u2, tau < 0.0)
-    theta = oracle_theta(fam, tau)
-    return base.logpdf(terms, theta, base.parts(terms, theta))
-
-
-def oracle_loss_gradient(fam, u1, u2, eta):
-    """-d loss / d eta: the score chained through theta(tau) and tau(eta)."""
-    tau_raw = np.tanh(np.asarray(eta, dtype=float))
-    tau = np.clip(tau_raw, -F.TAU_CLAMP, F.TAU_CLAMP)
-    u1, u2, tau_raw, tau = np.broadcast_arrays(F._clamp_u(u1), F._clamp_u(u2), tau_raw, tau)
-    neg = tau < 0.0
-    base = F._BASE[fam]
-    terms = _oracle_terms(fam, u1, u2, neg)
-    theta = oracle_theta(fam, tau)
-    dtheta_dtau = oracle_theta_prime(fam, tau)
-    if fam in CLAYTONS + GUMBELS:
-        # theta is a function of |tau|; rotation flips the sign for tau < 0.
-        dtheta_dtau = np.where(neg, -dtheta_dtau, dtheta_dtau)
-    dtau_deta = np.where(np.abs(tau_raw) >= F.TAU_CLAMP, 0.0, 1.0 - tau_raw * tau_raw)
-    return base.score(terms, theta, base.parts(terms, theta)) * dtheta_dtau * dtau_deta
 
 
 class TestTransforms:
@@ -312,6 +248,30 @@ class TestPairKernel:
                 np.testing.assert_array_equal(got, alone_value)
             for got in (grad[r], part_grad[k]):
                 np.testing.assert_array_equal(got, alone_grad)
+
+    @pytest.mark.parametrize("fams", [CLAYTONS, CLAYTONS[::-1], GUMBELS, GUMBELS[::-1]])
+    def test_joined_kernel_matches_each_family_bitwise(self, fams):
+        # the first family's rows: tau = 0 (the Clayton tiny-theta branch) and
+        # positive tau only, so that alone it never takes the negative branch;
+        # the second's: mixed signs, the tau clamp, past the theta caps, and
+        # negative tau only
+        u1, u2 = self.data(2)
+        n = len(u1)
+        etas = [np.array([np.zeros(n), np.resize(self.ETA, n)]),
+                np.array([np.resize(np.concatenate([-self.ETA, self.ETA]), n), np.resize([5.0, -6.0, 40.0, -5.0], n),
+                          np.resize([1.7, -2.0, 2.3, -3.0], n), -np.resize(self.ETA[1:], n)])]
+        kernels = [F.prepare(fam, np.stack([np.roll(u1, 7 * i) for i in range(len(eta))]),
+                             np.stack([np.roll(u2, 3 * i) for i in range(len(eta))]))
+                   for fam, eta in zip(fams, etas)]
+        joined = kernels[0]._join(kernels[1])
+        # the data is held once: each kernel's terms are a view of the joined ones
+        assert all(np.shares_memory(k._pos, joined._pos) and np.shares_memory(k._neg, joined._neg) for k in kernels)
+        value, grad = joined.value_and_grad(np.concatenate(etas))
+        _assert_bitwise(joined.log_density(np.concatenate(etas)), value)
+        for kernel, eta, rows in zip(kernels, etas, (slice(0, 2), slice(2, 6))):
+            alone_value, alone_grad = kernel.value_and_grad(eta)
+            _assert_bitwise(value[rows], alone_value)
+            _assert_bitwise(grad[rows], alone_grad)
 
     def test_non_finite_eta_is_domain_error(self):
         kernel = F.prepare(CopulaFamily.GUMBEL_I, np.full(3, 0.3), np.full(3, 0.6))

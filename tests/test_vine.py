@@ -137,6 +137,10 @@ class TestFitVine:
             fit_vine(rng.random((100, 3)), Z, dvine_structure(range(3)), FIT_FAMILIES, covariate_names=("a",))
         assert prepared == []
 
+    def test_zero_rows_is_an_interface_error(self):
+        with pytest.raises(InterfaceError, match="^edge 0,1: pairs must hold at least one row$"):
+            fit_vine(np.zeros((0, 3)), np.ones((0, 2)), dvine_structure(range(3)), FIT_FAMILIES)
+
     def test_beta_length_is_checked_on_construction_and_loading(self):
         structure = dvine_structure(range(3))
         model = constant_tau_model(structure, [CopulaFamily.GAUSSIAN] * 3, [0.3, 0.2, 0.1], n_covariates=3)
@@ -260,19 +264,27 @@ TREE_BATCHED_SETTINGS = {
 
 class FailingKernel:
     """A kernel on stacked edge rows that raises from its evaluation ``at`` + 1
-    on whenever its rows hold one of the ``bad`` (u1, u2) data sets."""
+    on whenever its rows hold one of the ``bad`` (u1, u2) data sets.  A joined
+    kernel raises the error of its first member that fails, and otherwise
+    counts one evaluation for each member."""
 
-    def __init__(self, kernel, bad, at):
+    def __init__(self, kernel, bad, at, members=None):
         self.kernel, self.bad, self.at, self.calls = kernel, bad, at, 0
+        self.members = members or [self]
 
     def holds_bad(self):
         rows = zip(np.atleast_2d(self.kernel.u1), np.atleast_2d(self.kernel.u2))
         return any(np.array_equal(u1, b1) and np.array_equal(u2, b2) for u1, u2 in rows for b1, b2 in self.bad)
 
-    def value_and_grad(self, eta):
-        self.calls += 1
-        if self.calls > self.at and self.holds_bad():
+    def fail(self):
+        if self.calls >= self.at and self.holds_bad():
             raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {self.at}")
+
+    def value_and_grad(self, eta):
+        for member in self.members:
+            member.fail()
+        for member in self.members:
+            member.calls += 1
         return self.kernel.value_and_grad(eta)
 
     def log_density(self, eta):
@@ -281,16 +293,20 @@ class FailingKernel:
     def take(self, rows):
         return FailingKernel(self.kernel.take(rows), self.bad, self.at)
 
+    def _join(self, *others):
+        return FailingKernel(self.kernel._join(*(k.kernel for k in others)), self.bad, self.at, [self, *others])
+
 
 def failing_edges(monkeypatch, U, edges, failing):
     """Make the ``failing`` families' kernels raise at iteration 17 on the
-    data of the tree-1 ``edges``."""
+    data of the tree-1 ``edges``; every kernel is a :class:`FailingKernel`,
+    so that kernels of one base copula can be joined."""
     prepare = vineboost.families.prepare
     bad = [(np.clip(U[:, e.a], U_EPS, 1 - U_EPS), np.clip(U[:, e.b], U_EPS, 1 - U_EPS)) for e in edges]
 
     def patched(family, u1, u2):
         kernel = prepare(family, u1, u2)
-        return FailingKernel(kernel, bad, 17) if family in failing else kernel
+        return FailingKernel(kernel, bad if family in failing else [], 17)
 
     monkeypatch.setattr(B, "prepare", patched)
 
