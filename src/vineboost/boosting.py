@@ -71,6 +71,8 @@ class BoostControl:
             raise ConfigurationError("stopping must be 'aic' or 'cv'")
         if self.cv_folds < 2:
             raise ConfigurationError("cv_folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass
@@ -193,20 +195,21 @@ class _Stack:
     kernels that evaluate them.
 
     A row is row ``drow`` of the kernel of family ``fam``, and ``rows`` are
-    the initial stack positions of the live rows.  The rows stay in the
-    order of the families, so the live rows of each family are one span;
-    ``groups`` lists the families of each base copula.  ``kernels`` holds
-    each family's kernel on its live rows; the joined kernel of a group is
-    made when first evaluated and kept until a row of its families leaves.
+    the initial stack positions of the live rows.  The rows are grouped by
+    base copula: the live rows of base b are the span ``spans[b]``, and
+    ``kernels[b]`` holds them, in that order, in one kernel.  The stack is
+    given the kernels of each base's families and joins them
+    (``PairKernel._join``); they then view the data of the joint kernel.
     """
 
-    def __init__(self, families, kernels, groups, fam, drow, stop, held, scan, blocks_T, n):
+    def __init__(self, families, kernels, base, fam, drow, stop, held, scan, blocks_T, n):
         width = scan[0].shape[1]
-        self.families, self.kernels, self.groups = families, kernels, groups
-        self.rows, self.fam, self.drow, self.stop, self.held = np.arange(len(stop)), fam, drow, stop, held
+        self.families = families
+        self.kernels = [k[0]._join(*k[1:]) if len(k) > 1 else k[0] for k in kernels]
+        self.rows, self.base, self.fam, self.drow = np.arange(len(stop)), base, fam, drow
+        self.stop, self.held = stop, held
         self.cols, self.mask, self.colsq = scan
         self.blocks_T = blocks_T
-        self.joined = {}  # families of one base -> their joined kernel
         self.eta = np.zeros((len(stop), n))
         self.logpdf = np.zeros((len(stop), n))
         self.grad = np.zeros((len(stop), n))
@@ -219,9 +222,8 @@ class _Stack:
 
     def _index(self):
         self.offsets = np.arange(len(self.rows)) * self.numer.shape[1]
-        bounds = np.searchsorted(self.fam, np.arange(len(self.kernels) + 1))
+        bounds = np.searchsorted(self.base, np.arange(len(self.kernels) + 1))
         self.spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.last = [int(self.stop[s].max(initial=-1)) for s in self.spans]
         # the live rows grouped by their first held-out row, 0 for those
         # training on all rows: each row's risk rows
         held = np.unique(self.held)
@@ -229,59 +231,51 @@ class _Stack:
 
     def keep(self, rows):
         """Drop every live row but those at the positions ``rows``."""
-        for f, span in enumerate(self.spans):
+        for b, span in enumerate(self.spans):
             kept = rows[(rows >= span.start) & (rows < span.stop)] - span.start
             if len(kept) < span.stop - span.start:
-                self.kernels[f] = self.kernel(f, kept) if len(kept) else None
-                self.joined = {key: kernel for key, kernel in self.joined.items() if f not in key}
+                self.kernels[b] = self.kernels[b].take(kept) if len(kept) else None
         if self.blocks_T is not None:
             self.blocks_T = [self.blocks_T[i] for i in rows]
-        for name in ("rows", "fam", "drow", "stop", "held", "cols", "mask", "colsq", "eta", "logpdf", "grad",
-                     "numer"):
+        for name in ("rows", "base", "fam", "drow", "stop", "held", "cols", "mask", "colsq", "eta", "logpdf",
+                     "grad", "numer"):
             setattr(self, name, getattr(self, name)[rows])
         for name in ("selected", "increments", "risk"):
             setattr(self, name, getattr(self, name)[:, rows])
         self._index()
 
-    def kernel(self, f, rows):
-        """The kernel of family f on the rows at the positions ``rows`` of its
-        span; its kernel itself when that is all of them."""
-        return _take(self.kernels[f], rows, self.spans[f].stop - self.spans[f].start)
+    def kernel(self, i):
+        """The kernel of the live row at position i alone."""
+        b = self.base[i]
+        return self.kernels[b].take([i - self.spans[b].start])
 
     def evaluate(self, m):
         """The log density of every live row at iteration m into ``logpdf``
-        and, for the families that go on after m, the gradient into ``grad``,
-        with one kernel call per base copula for each.  Returns family
-        position -> the exception that stopped that family."""
+        and the gradient into ``grad``, with one kernel call per base copula;
+        the call asks for the gradient when one of its rows goes on after m.
+        A call that raises is made again for each of its rows alone, with
+        the gradient only if that row goes on.  Returns row position -> the
+        exception that stopped that row."""
         failed = {}
-        for group in self.groups:
-            going = [f for f in group if self.last[f] > m]
-            ending = [f for f in group if self.last[f] == m]
-            for fams, gradient in ((going, True), (ending, False)):
-                if fams:
-                    failed.update(self._evaluate(fams, gradient))
+        for kernel, span in zip(self.kernels, self.spans):
+            if span.start == span.stop:
+                continue
+            try:
+                self._evaluate(kernel, span, self.stop[span].max() > m)
+            except _CANDIDATE_ERRORS:
+                for i in range(span.start, span.stop):
+                    try:
+                        self._evaluate(self.kernel(i), slice(i, i + 1), self.stop[i] > m)
+                    except _CANDIDATE_ERRORS as exc:
+                        failed[i] = exc
         return failed
 
-    def _evaluate(self, fams, gradient):
-        spans = [self.spans[f] for f in fams]
-        if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
-            at = slice(spans[0].start, spans[-1].stop)
-        else:  # same-base families apart in the order of the kernels
-            at = np.concatenate([np.arange(s.start, s.stop) for s in spans])
-        kernel = self._kernel(fams)
-        try:
-            if gradient:
-                logpdf, grad = kernel.value_and_grad(self.eta[at])
-            else:
-                logpdf, grad = kernel.log_density(self.eta[at]), None
-        except _CANDIDATE_ERRORS as exc:
-            if len(fams) == 1:
-                return {fams[0]: exc}
-            failed = {}
-            for f in fams:  # family by family: only those that raise drop out
-                failed.update(self._evaluate([f], gradient))
-            return failed
-        if isinstance(at, slice) and at.stop - at.start == len(self.rows):  # every row: no copy
+    def _evaluate(self, kernel, at, gradient):
+        if gradient:
+            logpdf, grad = kernel.value_and_grad(self.eta[at])
+        else:
+            logpdf, grad = kernel.log_density(self.eta[at]), None
+        if at.stop - at.start == len(self.rows):  # every row: no copy
             self.logpdf = logpdf
             if gradient:
                 self.grad = grad
@@ -289,16 +283,6 @@ class _Stack:
             self.logpdf[at] = logpdf
             if gradient:
                 self.grad[at] = grad
-        return {}
-
-    def _kernel(self, fams):
-        """The kernel of the families ``fams``, of one base copula, on their live rows."""
-        if len(fams) == 1:
-            return self.kernels[fams[0]]
-        key = tuple(fams)
-        if key not in self.joined:
-            self.joined[key] = self.kernels[fams[0]]._join(*(self.kernels[f] for f in fams[1:]))
-        return self.joined[key]
 
     def record_risk(self, m, n):
         """risk[m] of every live row: the mean of its risk rows' negative log density."""
@@ -375,14 +359,15 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
     kernel its iteration count, and ``cols[family]``, if given, its scan
     columns of a shared design, which are copied contiguously (once for
     rows with the same columns) and whose picks are mapped back to the
-    design's column indices.  Each iteration evaluates the log
+    design's column indices.  The rows are grouped by base copula, and the
+    kernels of the families of one base, such as Clayton I and II, are made
+    one kernel (``PairKernel._join``).  Each iteration evaluates the log
     density of every row (it gives risk[m]) and its gradient (it drives step
-    m + 1) with one kernel call per base copula: families of one base, such
-    as Clayton I and II, share one joined kernel (``PairKernel._join``).
-    It then scans the covariates of every row and makes the coordinate
-    choice and the step for all rows at once.  The risk is the mean negative
-    log density over a row's held-out rows, or over all rows when it has
-    none.  A row leaves the stack when it has run its iterations.
+    m + 1) with one call of each base's kernel.  It then scans the
+    covariates of every row and makes the coordinate choice and the step for
+    all rows at once.  The risk is the mean negative log density over a
+    row's held-out rows, or over all rows when it has none.  A row leaves
+    the stack when it has run its iterations.
 
     The scan is one batched GEMV of the shared design with every row's
     gradient or, with ``cols`` or held-out rows, one GEMV of each row's
@@ -394,16 +379,19 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
     boosted again alone.
 
     Returns family -> one :class:`BoostPath` per kernel row, or the
-    exception that stopped it.  A family whose kernel raises drops out and
-    the others go on: a joined kernel that raises is evaluated again family
-    by family at that iteration.  A family with several live rows is then
-    boosted again one row at a time, so each row ends with the path or the
-    error it has alone.
+    exception that stopped it.  A row fails on its own: when a base's
+    kernel call raises, its rows are evaluated again one at a time (see
+    :meth:`_Stack.evaluate`); the rows that raise alone leave the stack with
+    that error and the others go on.
     """
-    families = list(kernels)
+    groups = {}
+    for family in kernels:
+        groups.setdefault(_BASE[family], []).append(family)
+    families = [family for group in groups.values() for family in group]
     n, p1 = design.Zs.shape[-2:]
     counts = [len(m_stop[family]) for family in families]
     fam = np.repeat(np.arange(len(families)), counts)
+    base = np.repeat([b for b, group in enumerate(groups.values()) for _ in group], counts)
     drow = np.concatenate([np.arange(c) for c in counts])
     stop = np.concatenate([np.asarray(m_stop[family], dtype=np.int64) for family in families])
     scans = [np.arange(p1)] * len(stop) if cols is None else [s for family in families for s in cols[family]]
@@ -418,7 +406,7 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
         scan[1][r, : len(s)] = ~d.degenerate[s]
         scan[2][r, : len(s)] = d.colsq_safe[s]
     shared = cols is None and design.Zs.ndim == 2 and design.n_train == n
-    gemm = shared and len(kernels) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
+    gemm = shared and len(families) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
     if shared:
         blocks_T = None
     elif cols is None:  # CV: the training rows of each row's own design
@@ -430,23 +418,18 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
                 copies[tuple(s)] = np.ascontiguousarray(design.Zs[:, s]).T
         blocks_T = [copies[tuple(s)] for s in scans]
     held = np.array([d.n_train % n for d in designs])
-    bases = {}
-    for f, family in enumerate(families):
-        bases.setdefault(_BASE[family], []).append(f)
 
     def alone(stack, i):
-        r, f = stack.rows[i], stack.fam[i]
-        family = families[f]
-        return _boost_paths({family: stack.kernel(f, [i - stack.spans[f].start])}, designs[r], nu,
-                            {family: stop[[r]]}, None if cols is None else {family: [scans[r]]})[family][0]
+        r, family = stack.rows[i], families[stack.fam[i]]
+        return _boost_paths({family: stack.kernel(i)}, designs[r], nu, {family: stop[[r]]},
+                            None if cols is None else {family: [scans[r]]})[family][0]
 
-    out = {family: [ConfigurationError("no selectable covariates") for _ in range(c)]
-           for family, c in zip(families, counts)}
+    out = {family: [ConfigurationError("no selectable covariates") for _ in m_stop[family]] for family in kernels}
     rows = np.flatnonzero(scan[1].any(axis=1))
     if not len(rows):
         return out
-    stack = _Stack(families, [kernels[family] for family in families], list(bases.values()), fam, drow, stop,
-                   held, scan, blocks_T, n)
+    stack = _Stack(families, [[kernels[family] for family in group] for group in groups.values()], base, fam,
+                   drow, stop, held, scan, blocks_T, n)
     del kernels  # the stack's now: data of rows that leave is freed with their kernels
     if len(rows) < len(stop):
         stack.keep(rows)
@@ -456,24 +439,19 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
             stack.step(m, nu, design.Zs)
         failed = stack.evaluate(m)
         stack.record_risk(m, n)
-        leave = stack.stop == m
-        rose = stack.risk[m] > stack.risk[m - 1] if gemm and m > 0 else None
-        if rose is not None:
-            leave |= rose
-        for f in failed:
-            leave[stack.spans[f]] = True
+        rose = stack.risk[m] > stack.risk[m - 1] if gemm and m > 0 else np.zeros(len(stack.rows), dtype=bool)
+        leave = (stack.stop == m) | rose
+        leave[list(failed)] = True
         if not leave.any():
             continue
         for i in np.flatnonzero(leave):
-            f = stack.fam[i]
-            if f in failed:
-                span = stack.spans[f]
-                path = failed[f] if span.stop - span.start == 1 else alone(stack, i)
-            elif rose is not None and rose[i]:
+            if i in failed:
+                path = failed[i]
+            elif rose[i]:
                 path = alone(stack, i)
             else:
                 path = stack.path(i, designs[stack.rows[i]])
-            out[families[f]][stack.drow[i]] = path
+            out[families[stack.fam[i]]][stack.drow[i]] = path
         if leave.all():
             break
         stack.keep(np.flatnonzero(~leave))

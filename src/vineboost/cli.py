@@ -32,7 +32,7 @@ from .errors import (
 from .families import CopulaFamily
 from .scoring import dm_test, energy_score, variogram_score
 from .simulation import ScenarioConfig, run_scenario
-from .vine import ConditionalVineModel, VineStructure, fit_vine, select_structure
+from .vine import ConditionalVineModel, VineStructure, _from_file, fit_vine, select_structure
 
 log = logging.getLogger("vineboost")
 
@@ -166,8 +166,7 @@ def cmd_fit(args):
         structure = select_structure(U)
         log.info("selected structure: %s", [[e.label() for e in t] for t in structure.trees])
     else:
-        with open(args.structure, "r", encoding="utf-8") as fh:
-            structure = VineStructure.from_dict(json.load(fh))
+        structure = _from_file(args.structure, VineStructure.from_dict)
     families = parse_families(args.families)
     control = control_from_args(args)
     model = fit_vine(
@@ -213,6 +212,8 @@ def cmd_fit(args):
 def cmd_sample(args):
     if args.per_row < 1:
         raise ConfigurationError("--per-row must be >= 1")
+    if args.seed < 0:
+        raise ConfigurationError("--seed must be >= 0")
     model = ConditionalVineModel.from_json(args.model)
     if args.covariates is None:
         if model.n_covariates != 1:

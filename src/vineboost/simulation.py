@@ -81,6 +81,8 @@ class ScenarioConfig:
             raise ConfigurationError("p must be >= 6 (informative block plus intercept)")
         if self.n_reps < 1:
             raise ConfigurationError("n_reps must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.mode not in ("selected", "specified"):
             raise ConfigurationError("mode must be 'selected' or 'specified'")
         if self.family is None and not self.family_draw:

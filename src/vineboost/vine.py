@@ -122,11 +122,25 @@ def _tree_records(obj, where):
             cond = ()
             if "conditioning" in rec:
                 cond = _field(rec, "conditioning", lambda v: tuple(int(x) for x in v), at)
-            e = VineEdge(_field(rec, "a", int, at), _field(rec, "b", int, at), cond)
+            try:
+                e = VineEdge(_field(rec, "a", int, at), _field(rec, "b", int, at), cond)
+            except StructureError as exc:
+                raise StructureError(f"{at}: {exc}") from None
             records[e] = rec
             tree.append(e)
         trees.append(tree)
     return _field(obj, "d", int, where), trees, records
+
+
+def _from_file(path, from_dict):
+    """``from_dict`` of the JSON document in the file ``path``.  Invalid
+    JSON and a malformed document raise with the path before the message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except (json.JSONDecodeError, InterfaceError, StructureError) as exc:
+        exc.args = (f"{path}: {exc.args[0]}",) + exc.args[1:]
+        raise
 
 
 def _finite_vector(value):
@@ -509,13 +523,7 @@ class ConditionalVineModel:
     def from_json(cls, source):
         if isinstance(source, str) and source.lstrip().startswith("{"):
             return cls.from_dict(json.loads(source))
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        try:
-            return cls.from_dict(obj)
-        except InterfaceError as exc:
-            exc.args = (f"{source}: {exc.args[0]}",) + exc.args[1:]
-            raise
+        return _from_file(source, cls.from_dict)
 
     @classmethod
     def from_coefficients(cls, structure, families, betas, covariate_names=None):

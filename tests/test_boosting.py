@@ -10,7 +10,7 @@ from vineboost.boosting import BoostControl, BoostPath, FittedPairCopula
 from vineboost.errors import ConfigurationError, EvaluationError, FitError, InterfaceError
 from vineboost.families import CopulaFamily
 
-from oracles import oracle_log_density, oracle_loss_gradient
+from oracles import LabelledPrepare, oracle_log_density, oracle_loss_gradient
 
 TRUE_BETA6 = np.array([0.1, -0.2, 0.3, 0.2, 0.5, -0.4])
 
@@ -61,7 +61,7 @@ def synthetic_path(selected, risks, p=4, has_intercept=True):
 class TestBoostControl:
     @pytest.mark.parametrize("field, value", [
         ("m_stop", 10.5), ("m_stop", True), ("cv_folds", 2.5), ("cv_folds", np.True_), ("seed", 1.5),
-        ("nu", "0.1"), ("nu", True), ("gamma", None),
+        ("seed", -1), ("nu", "0.1"), ("nu", True), ("gamma", None),
     ])
     def test_field_types_checked(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be"):
@@ -335,78 +335,59 @@ class TestOneStack:
             np.testing.assert_array_equal(fit.beta, alone.beta)
 
 
-def failing_prepare(prepare, failing, at, made=None, folds=None):
-    """``prepare`` whose kernels count their gradient evaluations and, for
-    ``failing`` families, raise at iteration ``at``; each kernel is also
-    appended to ``made``.  With ``folds`` = (K, bad) only the K-row kernels
-    of CV fail, and of the kernels taken from their rows only those holding
-    a fold in ``bad``.  A joined kernel raises the error of its first member
-    that fails, and otherwise counts one evaluation for each member."""
+def fail_from(families, at, folds=None):
+    """``fails`` of a :class:`LabelledPrepare`: the rows of ``families`` raise
+    from their evaluation ``at`` on; with ``folds``, only rows at those
+    positions, which only the K-row kernels of CV have."""
 
-    class Kernel:
-        def __init__(self, kernel, rows=None, members=None):
-            self.kernel, self.rows, self.calls = kernel, rows, 0
-            self.members = members or [self]
+    def fails(label, k, gradient):
+        family, row = label
+        if family in families and k >= at and (folds is None or row in folds):
+            where = "" if folds is None else f" on folds [{row}]"
+            return EvaluationError(f"{family.value} kernel failed at iteration {at}{where}")
 
-        def fail(self):
-            fails = self.rows is None or bool(set(self.rows) & folds[1])
-            if self.kernel.family in failing and self.calls >= at and fails:
-                where = "" if self.rows is None else f" on folds {self.rows}"
-                raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {at}{where}")
+    return fails
 
-        def value_and_grad(self, eta):
-            for member in self.members:
-                member.fail()
-            for member in self.members:
-                member.calls += 1
-            return self.kernel.value_and_grad(eta)
 
-        def log_density(self, eta):
-            return self.kernel.log_density(eta)
+def assert_once_per_iteration(counts, family, fit):
+    """The row of ``family`` in ``counts`` was evaluated once at each
+    iteration of each path of ``fit``: m + 1 times for m iterations."""
+    paths = [path for path in (fit.risk_path, fit.refit_path) if path is not None]
+    assert counts[family, 0] == sum(path.m_stop + 1 for path in paths)
 
-        def take(self, rows):
-            return Kernel(self.kernel.take(rows), None if self.rows is None else [self.rows[i] for i in rows])
 
-        def _join(self, *others):
-            return Kernel(self.kernel._join(*(k.kernel for k in others)), members=[self, *others])
-
-    def patched(family, u1, u2):
-        rows = None if folds is None else list(range(len(u1))) if len(u1) == folds[0] else []
-        kernel = Kernel(prepare(family, u1, u2), rows)
-        if made is not None:
-            made.append(kernel)
-        return kernel
-
-    return patched
+def assert_fit_as_alone(fit, alone):
+    np.testing.assert_array_equal(fit.risk_path.selected, alone.risk_path.selected)
+    np.testing.assert_allclose(fit.risk_path.risk, alone.risk_path.risk, rtol=1e-12, atol=0.0)
+    # same survivors and m_opt give the same refit, bit for bit
+    assert (fit.m_opt, fit.survivors, fit.kept) == (alone.m_opt, alone.survivors, alone.kept)
+    np.testing.assert_array_equal(fit.beta, alone.beta)
+    assert fit.aic == alone.aic
 
 
 class TestCandidateFailure:
-    """A family whose kernel raises inside the batched loop drops out alone."""
+    """A row whose kernel raises inside the batched loop leaves alone, with
+    the error it raises alone; the other rows keep their paths."""
 
     @pytest.mark.parametrize("p, gemm", BATCHED_SHAPES)
     def test_other_families_fit_as_alone(self, monkeypatch, p, gemm):
         share_gemm(monkeypatch, gemm)
         pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, p)
-        # at nu = 0.1 no risk rises here, so the other families stay in the
-        # shared loop after the failing one drops out
+        # at nu = 0.1 no risk rises here, so no row is boosted again alone
         control = BoostControl(m_stop=100)
         bad = CopulaFamily.CLAYTON_I
         solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
-        made = []
-        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, {bad}, at=17, made=made))
+        prepare = LabelledPrepare(F.prepare, fail_from({bad}, at=17))
+        monkeypatch.setattr(B, "prepare", prepare)
         fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
         assert isinstance(fits[bad], EvaluationError)
+        counts = {label: n for made in prepare.made for label, n in made.items()}
+        # the failing row was evaluated at iterations 0 to 16 only, and
+        # every other row once per iteration of its main path and refit
+        assert counts[bad, 0] == 17
         for family, alone in solo.items():
-            fit = fits[family]
-            # one main path and one refit: no family was boosted twice
-            (kernel,) = [k for k in made if k.kernel.family == family]
-            assert kernel.calls == control.m_stop + fit.refit_path.m_stop
-            np.testing.assert_array_equal(fit.risk_path.selected, alone.risk_path.selected)
-            np.testing.assert_allclose(fit.risk_path.risk, alone.risk_path.risk, rtol=1e-12, atol=0.0)
-            # same survivors and m_opt give the same refit, bit for bit
-            assert (fit.m_opt, fit.survivors, fit.kept) == (alone.m_opt, alone.survivors, alone.kept)
-            np.testing.assert_array_equal(fit.beta, alone.beta)
-            assert fit.aic == alone.aic
+            assert_once_per_iteration(counts, family, fits[family])
+            assert_fit_as_alone(fits[family], alone)
         winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
         assert set(winner.selection_scores) == {f.value for f in solo}
         with pytest.raises(EvaluationError, match="claytonI kernel failed at iteration 17"):
@@ -414,40 +395,72 @@ class TestCandidateFailure:
 
     def test_every_family_failing_is_one_fit_error(self, monkeypatch):
         pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
-        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, set(F.FIT_FAMILIES), at=17))
+        monkeypatch.setattr(B, "prepare", LabelledPrepare(F.prepare, fail_from(set(F.FIT_FAMILIES), at=17)))
         with pytest.raises(FitError) as info:
             B.fit_pair(pairs, Z, F.FIT_FAMILIES, BoostControl(m_stop=100, nu=0.3))
         assert info.value.diagnostics == {
             f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17")) for f in F.FIT_FAMILIES
         }
 
+    def test_ending_row_failing_only_on_its_gradient_keeps_its_path(self, monkeypatch):
+        pairs, Z = sign_changing_data(CopulaFamily.CLAYTON_I, 21)
+        control = BoostControl(m_stop=100)
+        fams = [CopulaFamily.CLAYTON_I, CopulaFamily.CLAYTON_II]
+        solo = {f: B.fit_family(pairs, Z, f, control) for f in fams}
+        # the refit of the first to stop ends while the other goes on, so
+        # the kernel call of their base asks for its gradient too
+        short, long = sorted(fams, key=lambda f: solo[f].m_opt)
+        assert 0 < solo[short].m_opt < solo[long].m_opt
+        last = control.m_stop + 1 + solo[short].m_opt
+
+        def fails(label, k, gradient):
+            if label == (short, 0) and k == last and gradient:
+                return EvaluationError("gradient failed")
+
+        prepare = LabelledPrepare(F.prepare, fails)
+        monkeypatch.setattr(B, "prepare", prepare)
+        fits = B._fit_families(pairs, Z, fams, control)
+        assert [str(e) for e in prepare.raised] == ["gradient failed"]
+        counts = {label: n for made in prepare.made for label, n in made.items()}
+        for family in fams:
+            assert_once_per_iteration(counts, family, fits[family])
+            assert_fit_as_alone(fits[family], solo[family])
+            np.testing.assert_array_equal(fits[family].refit_path.risk, solo[family].refit_path.risk)
 
     def test_failing_cv_fold_fails_its_family_alone(self, monkeypatch):
         pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
         control = BoostControl(m_stop=60, nu=0.3, stopping="cv", cv_folds=5, seed=4)
         bad = CopulaFamily.CLAYTON_I
         solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
-        # the 5-fold kernel of the CV stop fails; the folds are then boosted
-        # again alone, and folds 2 and 4 fail again
-        monkeypatch.setattr(B, "prepare", failing_prepare(B.prepare, {bad}, at=17, folds=(5, {2, 4})))
+        # the folds 2 and 4 of the CV stop fail alone; the first is reported
+        monkeypatch.setattr(B, "prepare", LabelledPrepare(F.prepare, fail_from({bad}, at=17, folds={2, 4})))
         with pytest.raises(EvaluationError, match=r"^claytonI kernel failed at iteration 17 on folds \[2\]$"):
             B.fit_family(pairs, Z, bad, control)
+        prepare = LabelledPrepare(F.prepare, fail_from({bad}, at=17, folds={2, 4}))
+        monkeypatch.setattr(B, "prepare", prepare)
         fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
         assert isinstance(fits[bad], EvaluationError)
+        # one kernel for the main paths of each family, then one for the
+        # folds of each family's CV stop
+        main, folds = prepare.made[: len(F.FIT_FAMILIES)], prepare.made[len(F.FIT_FAMILIES):]
+        assert [list(c) for c in main] == [[(f, 0)] for f in F.FIT_FAMILIES]
+        assert [list(c) for c in folds] == [[(f, k) for k in range(5)] for f in F.FIT_FAMILIES]
+        assert main[F.FIT_FAMILIES.index(bad)][bad, 0] == control.m_stop + 1
+        fold_counts = folds[F.FIT_FAMILIES.index(bad)]
+        assert [fold_counts[bad, k] for k in range(5)] == [61, 61, 17, 61, 17]
         for family, alone in solo.items():
             fit = fits[family]
-            np.testing.assert_array_equal(fit.risk_path.selected, alone.risk_path.selected)
+            assert_once_per_iteration(main[F.FIT_FAMILIES.index(family)], family, fit)
+            assert set(folds[F.FIT_FAMILIES.index(family)].values()) == {control.m_stop + 1}
             np.testing.assert_array_equal(fit.risk_path.risk, alone.risk_path.risk)
-            assert (fit.m_opt, fit.survivors, fit.kept) == (alone.m_opt, alone.survivors, alone.kept)
-            np.testing.assert_array_equal(fit.beta, alone.beta)
-            assert fit.aic == alone.aic
+            assert_fit_as_alone(fit, alone)
         winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
         assert set(winner.selection_scores) == {f.value for f in solo}
 
     def test_every_family_failing_a_cv_fold_is_one_fit_error(self, monkeypatch):
         pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, 21)
         control = BoostControl(m_stop=60, nu=0.3, stopping="cv", cv_folds=5, seed=4)
-        prepare = failing_prepare(B.prepare, set(F.FIT_FAMILIES), at=17, folds=(5, {2, 4}))
+        prepare = LabelledPrepare(F.prepare, fail_from(set(F.FIT_FAMILIES), at=17, folds={2, 4}))
         monkeypatch.setattr(B, "prepare", prepare)
         with pytest.raises(FitError) as info:
             B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)

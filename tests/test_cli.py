@@ -284,6 +284,7 @@ class TestSimulate:
         ("control", [1]), ("control", {"m_stop": 60.5}), ("control", {"m_stop": True}),
         ("control", {"m_stop": 60, "stopping": "cv", "cv_folds": 2.5}), ("family_draw", "yes"),
         ("count_intercept_tp", True), ("control", {"m_stop": 60, "protect_intercept": True}),
+        ("seed", -1), ("control", {"m_stop": 60, "seed": -1}),
     ])
     def test_malformed_field_exits_2_before_any_output(self, tmp_path, field, value):
         path = self.scenario(tmp_path, **{field: value})
@@ -360,6 +361,17 @@ MALFORMED = [
     ("fit", "--truncate", "0", "truncation level must lie in [1, 2]"),
     ("fit", "--truncate", "3", "truncation level must lie in [1, 2]"),
     ("fit", "--stopping", "cv", "edge 0,1: each CV fold needs at least 10 observations (4 rows, 10 folds)"),
+    ("fit", "--seed", "-1", "seed must be >= 0"),
+    ("sample", "--seed", "-1", "--seed must be >= 0"),
+    ("fit", "structure", json.dumps({"d": 3, "trees": [[{"a": 0, "b": 1}], [{"a": 0, "b": 0}]]}),
+     ": structure tree 2 edge 1: edge must join two distinct variables"),
+    ("fit", "structure", json.dumps({"d": 3, "trees": [[{"a": 0, "b": 1, "conditioning": [1]}]]}),
+     ": structure tree 1 edge 1: conditioned variables cannot appear in the conditioning set"),
+    ("fit", "structure", json.dumps({"trees": []}), ": structure: missing key 'd'"),
+    ("fit", "structure", "{\"d\": 3,", ": Expecting property name enclosed in double quotes: line 1 column 9"),
+    ("sample", "model", model_json(lambda trees: trees[1][0].update(conditioning=[0])),
+     ": model tree 2 edge 1: conditioned variables cannot appear in the conditioning set"),
+    ("sample", "model", model_json()[:-1], ": Expecting ',' delimiter"),
 ]
 
 
@@ -371,7 +383,9 @@ MALFORMED = [
          "model-unknown-family", "model-missing-edge", "model-missing-beta",
          "model-missing-kept", "model-beta-length", "model-truncation-zero",
          "model-truncation-negative", "fit-truncate-zero", "fit-truncate-above-d",
-         "fit-cv-folds-too-small"],
+         "fit-cv-folds-too-small", "fit-negative-seed", "sample-negative-seed",
+         "structure-edge-to-itself", "structure-conditioned-in-conditioning", "structure-missing-d",
+         "structure-invalid-json", "model-conditioned-in-conditioning", "model-invalid-json"],
 )
 def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):
     files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES, "structure": GOOD_STRUCTURE,
@@ -391,7 +405,7 @@ def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, t
     elif command == "sample":
         outputs = [tmp_path / "u.csv"]
         args = ["sample", "--model", paths["model"], "--covariates", paths["covariates"],
-                "--out", outputs[0]]
+                "--out", outputs[0], *flags]
     else:
         outputs = [tmp_path / "s.csv", tmp_path / "dm.csv"]
         args = ["score", "--forecasts", paths["forecasts"], "--observations", paths["observations"],

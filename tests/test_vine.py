@@ -27,6 +27,8 @@ from vineboost.vine import (
     validate_structure,
 )
 
+from oracles import LabelledPrepare
+
 
 def constant_tau_model(structure, families, taus, n_covariates=1):
     betas = [np.r_[np.arctanh(t), np.zeros(n_covariates - 1)] for t in taus]
@@ -262,53 +264,22 @@ TREE_BATCHED_SETTINGS = {
 }
 
 
-class FailingKernel:
-    """A kernel on stacked edge rows that raises from its evaluation ``at`` + 1
-    on whenever its rows hold one of the ``bad`` (u1, u2) data sets.  A joined
-    kernel raises the error of its first member that fails, and otherwise
-    counts one evaluation for each member."""
-
-    def __init__(self, kernel, bad, at, members=None):
-        self.kernel, self.bad, self.at, self.calls = kernel, bad, at, 0
-        self.members = members or [self]
-
-    def holds_bad(self):
-        rows = zip(np.atleast_2d(self.kernel.u1), np.atleast_2d(self.kernel.u2))
-        return any(np.array_equal(u1, b1) and np.array_equal(u2, b2) for u1, u2 in rows for b1, b2 in self.bad)
-
-    def fail(self):
-        if self.calls >= self.at and self.holds_bad():
-            raise EvaluationError(f"{self.kernel.family.value} kernel failed at iteration {self.at}")
-
-    def value_and_grad(self, eta):
-        for member in self.members:
-            member.fail()
-        for member in self.members:
-            member.calls += 1
-        return self.kernel.value_and_grad(eta)
-
-    def log_density(self, eta):
-        return self.kernel.log_density(eta)
-
-    def take(self, rows):
-        return FailingKernel(self.kernel.take(rows), self.bad, self.at)
-
-    def _join(self, *others):
-        return FailingKernel(self.kernel._join(*(k.kernel for k in others)), self.bad, self.at, [self, *others])
-
-
 def failing_edges(monkeypatch, U, edges, failing):
     """Make the ``failing`` families' kernels raise at iteration 17 on the
-    data of the tree-1 ``edges``; every kernel is a :class:`FailingKernel`,
-    so that kernels of one base copula can be joined."""
-    prepare = vineboost.families.prepare
+    rows that hold the data of the tree-1 ``edges``: a row's label is the
+    position in ``edges`` of the edge whose data it holds, or None."""
     bad = [(np.clip(U[:, e.a], U_EPS, 1 - U_EPS), np.clip(U[:, e.b], U_EPS, 1 - U_EPS)) for e in edges]
 
-    def patched(family, u1, u2):
-        kernel = prepare(family, u1, u2)
-        return FailingKernel(kernel, bad if family in failing else [], 17)
+    def row_ids(u1, u2):
+        return [next((i for i, (b1, b2) in enumerate(bad) if np.array_equal(a1, b1) and np.array_equal(a2, b2)),
+                     None) for a1, a2 in zip(u1, u2)]
 
-    monkeypatch.setattr(B, "prepare", patched)
+    def fails(label, k, gradient):
+        family, edge = label
+        if family in failing and edge is not None and k >= 17:
+            return EvaluationError(f"{family.value} kernel failed at iteration 17")
+
+    monkeypatch.setattr(B, "prepare", LabelledPrepare(vineboost.families.prepare, fails, row_ids))
 
 
 class TestTreeBatched:
