@@ -17,6 +17,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,6 +169,58 @@ def _count(v):
     return "nan" if np.isnan(v) else int(v)
 
 
+def _write_table(out_dir, name, header, rows):
+    """Write ``header`` and ``rows`` to the CSV file ``out_dir/name``."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    with open(Path(out_dir) / name, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+class _Rep(NamedTuple):
+    """A repetition's true family (one per edge for a vine), true linear
+    predictor, covariates fitted on, and fit or the exception that stopped it."""
+
+    truth: object
+    eta: np.ndarray
+    Z: np.ndarray
+    fit: object
+
+    @property
+    def failed(self):
+        return isinstance(self.fit, Exception)
+
+
+def _attempt(fit, *args, **kwargs):
+    """``fit(*args, **kwargs)``, or the exception that stopped it."""
+    try:
+        return fit(*args, **kwargs)
+    except Exception as exc:  # per-rep failures are recorded, not fatal
+        return exc
+
+
+def _run_reps(config, rep_fn):
+    """``rep_fn(config, seed)`` of every repetition, and ``(rep, repr(exc))`` of each that failed."""
+    outcomes = [rep_fn(config, seed) for seed in _rep_seeds(config.seed, config.n_reps)]
+    return outcomes, [(rep, repr(o.fit)) for rep, o in enumerate(outcomes) if o.failed]
+
+
+def _bicop_rep(config, seed):
+    """One repetition of the bivariate scenario, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    Z = gen_covariates(config.N, config.p, config.rho, rng)
+    eta = true_eta(Z)
+    family = CopulaFamily(config.family) if not config.family_draw else _draw_family(rng)
+    w1 = rng.random(config.N)
+    w2 = rng.random(config.N)
+    pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, link_tau(eta))])
+    if config.mode == "specified":
+        Z = Z[:, :6]
+        return _Rep(family, eta, Z, _attempt(bst.fit_family, pairs, Z, family, config.control, refit=False))
+    return _Rep(family, eta, Z, _attempt(bst.fit_pair, pairs, Z, FIT_FAMILIES, config.control))
+
+
 @dataclass
 class BicopScenarioReport:
     """Per-repetition records of the bivariate scenario."""
@@ -196,83 +249,37 @@ class BicopScenarioReport:
         return float(np.mean((self.tp[ran] == len(INFORMATIVE)) & (self.fp[ran] == 0)))
 
     def write_csv(self, out_dir):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "coefficients.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep"] + [f"beta{j}" for j in range(6)])
-            for r, row in enumerate(self.beta_hat):
-                w.writerow([r] + [repr(float(v)) for v in row])
-        with open(out_dir / "selection.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep", "kept", "tp", "fp", "m_opt"])
-            for r in range(len(self.kept_sizes)):
-                w.writerow([r] + [_count(a[r]) for a in (self.kept_sizes, self.tp, self.fp, self.m_opt)])
-        with open(out_dir / "families.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep", "true_family", "selected_family"])
-            for r in range(len(self.true_family)):
-                w.writerow([r, self.true_family[r], self.selected_family[r]])
-        with open(out_dir / "mae.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rep", "mae_tau"])
-            for r, v in enumerate(self.mae):
-                w.writerow([r, repr(float(v))])
+        reps = range(len(self.beta_hat))
+        _write_table(out_dir, "coefficients.csv", ["rep"] + [f"beta{j}" for j in range(6)],
+                     ([r] + [repr(float(v)) for v in row] for r, row in zip(reps, self.beta_hat)))
+        counts = (self.kept_sizes, self.tp, self.fp, self.m_opt)
+        _write_table(out_dir, "selection.csv", ["rep", "kept", "tp", "fp", "m_opt"],
+                     ([r] + [_count(a[r]) for a in counts] for r in reps))
+        _write_table(out_dir, "families.csv", ["rep", "true_family", "selected_family"],
+                     zip(reps, self.true_family, self.selected_family))
+        _write_table(out_dir, "mae.csv", ["rep", "mae_tau"], ((r, repr(float(v))) for r, v in zip(reps, self.mae)))
 
 
 def run_bicop_scenario(config):
     """Simulate, fit and score the conditional bivariate copula scenario."""
     if config.kind != "bicop":
         raise ConfigurationError("config.kind must be 'bicop'")
-    n_reps = config.n_reps
-    # a failed repetition keeps NaN estimates and counts
-    beta_hat = np.full((n_reps, 6), np.nan)
-    kept_sizes = np.full(n_reps, np.nan)
-    tp = np.full(n_reps, np.nan)
-    fp = np.full(n_reps, np.nan)
-    mae = np.full(n_reps, np.nan)
-    m_opt = np.full(n_reps, np.nan)
-    true_family, selected_family, failures = [], [], []
+    outcomes, failures = _run_reps(config, _bicop_rep)
 
-    for rep, seed in enumerate(_rep_seeds(config.seed, n_reps)):
-        rng = np.random.default_rng(seed)
-        Z = gen_covariates(config.N, config.p, config.rho, rng)
-        eta = true_eta(Z)
-        family = CopulaFamily(config.family) if not config.family_draw else _draw_family(rng)
-        true_family.append(family.value)
-        w1 = rng.random(config.N)
-        w2 = rng.random(config.N)
-        pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, link_tau(eta))])
-        try:
-            if config.mode == "specified":
-                fit = bst.fit_family(pairs, Z[:, :6], family, config.control, refit=False)
-                beta_row = fit.beta
-                eta_hat = Z[:, :6] @ fit.beta
-            else:
-                fit = bst.fit_pair(pairs, Z, FIT_FAMILIES, config.control)
-                beta_row = fit.beta[:6]
-                eta_hat = Z @ fit.beta
-        except Exception as exc:  # per-rep failures are recorded, not fatal
-            failures.append((rep, repr(exc)))
-            selected_family.append("failed")
-            continue
-        beta_hat[rep] = beta_row
-        kept_sizes[rep] = len(fit.kept)
-        tp[rep], fp[rep] = _tp_fp(fit.kept)
-        mae[rep] = mae_tau(eta, eta_hat)
-        m_opt[rep] = fit.m_opt
-        selected_family.append(fit.family.value)
+    def column(value, missing=np.nan):
+        # a failed repetition keeps NaN estimates and counts
+        return np.array([missing if o.failed else value(o) for o in outcomes], dtype=float)
 
     return BicopScenarioReport(
         config=config,
-        beta_hat=beta_hat,
-        kept_sizes=kept_sizes,
-        tp=tp,
-        fp=fp,
-        mae=mae,
-        m_opt=m_opt,
-        true_family=true_family,
-        selected_family=selected_family,
+        beta_hat=column(lambda o: o.fit.beta[:6], np.full(6, np.nan)),
+        kept_sizes=column(lambda o: len(o.fit.kept)),
+        tp=column(lambda o: _tp_fp(o.fit.kept)[0]),
+        fp=column(lambda o: _tp_fp(o.fit.kept)[1]),
+        mae=column(lambda o: mae_tau(o.eta, o.Z @ o.fit.beta)),
+        m_opt=column(lambda o: o.fit.m_opt),
+        true_family=[o.truth.value for o in outcomes],
+        selected_family=["failed" if o.failed else o.fit.family.value for o in outcomes],
         failures=failures,
     )
 
@@ -301,10 +308,7 @@ class VineScenarioReport:
         return {t: float(np.median(self.mae[self.tree == t])) for t in levels}
 
     def median_beta_by_tree(self):
-        out = {}
-        for t in sorted(set(self.tree.tolist())):
-            out[t] = np.median(self.beta_hat[self.tree == t], axis=0)
-        return out
+        return {t: np.median(self.beta_hat[self.tree == t], axis=0) for t in sorted(set(self.tree.tolist()))}
 
     def coefficient_bias_by_tree(self):
         """Mean absolute deviation of the per-tree median coefficients."""
@@ -322,29 +326,33 @@ class VineScenarioReport:
         }
 
     def write_csv(self, out_dir):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "edges.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["rep", "tree", "edge", "true_family", "selected_family", "kept", "tp", "fp", "mae_tau"]
-                + [f"beta{j}" for j in range(6)]
-            )
-            for i in range(len(self.rep)):
-                w.writerow(
-                    [
-                        self.rep[i],
-                        self.tree[i],
-                        self.edge_label[i],
-                        self.true_family[i],
-                        self.selected_family[i],
-                        self.kept_sizes[i],
-                        self.tp[i],
-                        self.fp[i],
-                        repr(float(self.mae[i])),
-                    ]
-                    + [repr(float(v)) for v in self.beta_hat[i]]
-                )
+        header = ["rep", "tree", "edge", "true_family", "selected_family", "kept", "tp", "fp", "mae_tau"]
+        rows = zip(self.rep, self.tree, self.edge_label, self.true_family, self.selected_family,
+                   self.kept_sizes, self.tp, self.fp, self.mae, self.beta_hat)
+        _write_table(out_dir, "edges.csv", header + [f"beta{j}" for j in range(6)],
+                     ([*row] + [repr(float(v)) for v in (mae, *beta)] for *row, mae, beta in rows))
+
+
+def _vine_rep(config, seed):
+    """One repetition of the vine scenario, drawn from ``seed``."""
+    structure = benchmark_rvine_structure()
+    edges = [e for tree in structure.trees for e in tree]
+    rng = np.random.default_rng(seed)
+    Z = gen_covariates(config.N, config.p, config.rho, rng)
+    eta = true_eta(Z)
+    fams = [CopulaFamily(config.family) if not config.family_draw else _draw_family(rng) for _ in edges]
+    betas = [np.concatenate([TRUE_BETA, np.zeros(Z.shape[1] - 6)])] * len(edges)
+    truth = ConditionalVineModel.from_coefficients(structure, fams, betas)
+    U = truth.sample(Z, seed=rng.integers(2**63))
+    family_of = dict(zip(edges, fams))
+    if config.mode == "specified":
+        Z = Z[:, :6]
+        edge_families = [[family_of[e] for e in tree] for tree in structure.trees]
+        fit = _attempt(fit_vine, U, Z, structure, None,
+                       control=config.control, edge_families=edge_families, deselect=False)
+    else:
+        fit = _attempt(fit_vine, U, Z, structure, FIT_FAMILIES, control=config.control)
+    return _Rep(family_of, eta, Z, fit)
 
 
 def run_vine_scenario(config):
@@ -352,80 +360,30 @@ def run_vine_scenario(config):
     if config.kind != "vine":
         raise ConfigurationError("config.kind must be 'vine'")
     structure = benchmark_rvine_structure()
-    edges = [e for tree in structure.trees for e in tree]
-    n_edges = len(edges)
-    tree_of = {e: t + 1 for t, tree in enumerate(structure.trees) for e in tree}
-
-    rows = config.n_reps * n_edges
-    rep_col = np.zeros(rows, dtype=int)
-    tree_col = np.zeros(rows, dtype=int)
-    edge_label = [""] * rows
-    beta_hat = np.zeros((rows, 6))
-    mae = np.zeros(rows)
-    tp = np.zeros(rows, dtype=int)
-    fp = np.zeros(rows, dtype=int)
-    kept_sizes = np.zeros(rows, dtype=int)
-    true_family = [""] * rows
-    selected_family = [""] * rows
-    failures = []
-
-    row = 0
-    for rep, seed in enumerate(_rep_seeds(config.seed, config.n_reps)):
-        rng = np.random.default_rng(seed)
-        Z = gen_covariates(config.N, config.p, config.rho, rng)
-        eta = true_eta(Z)
-        if config.family_draw:
-            fams = [_draw_family(rng) for _ in range(n_edges)]
-        else:
-            fams = [CopulaFamily(config.family)] * n_edges
-        width = Z.shape[1]
-        betas = [np.concatenate([TRUE_BETA, np.zeros(width - 6)])] * n_edges
-        truth = ConditionalVineModel.from_coefficients(structure, fams, betas)
-        U = truth.sample(Z, seed=rng.integers(2**63))
-
-        fam_by_edge = dict(zip(edges, fams))
-        edge_families = [[fam_by_edge[e] for e in tree] for tree in structure.trees]
-        try:
-            if config.mode == "specified":
-                fitted = fit_vine(
-                    U, Z[:, :6], structure, None,
-                    control=config.control, edge_families=edge_families, deselect=False,
-                )
-                Z_used = Z[:, :6]
-            else:
-                fitted = fit_vine(U, Z, structure, FIT_FAMILIES, control=config.control)
-                Z_used = Z
-        except Exception as exc:
-            failures.append((rep, repr(exc)))
-            continue
-
-        for tree, fits in zip(fitted.structure.trees, fitted.models):
-            for e, fit in zip(tree, fits):
-                rep_col[row] = rep
-                tree_col[row] = tree_of[e]
-                edge_label[row] = e.label()
-                beta_hat[row] = fit.beta[:6]
-                mae[row] = mae_tau(eta, Z_used @ fit.beta)
-                tp[row], fp[row] = _tp_fp(fit.kept)
-                kept_sizes[row] = len(fit.kept)
-                true_family[row] = fam_by_edge[e].value
-                selected_family[row] = fit.family.value
-                row += 1
-
-    keep = slice(0, row)
+    outcomes, failures = _run_reps(config, _vine_rep)
+    # one row per (rep, tree, edge) of the repetitions that ran, in the
+    # column order of edges.csv; a failed repetition has no rows
+    rows = [
+        (rep, t, e.label(), o.truth[e].value, fit.family.value, len(fit.kept), *_tp_fp(fit.kept),
+         mae_tau(o.eta, o.Z @ fit.beta), fit.beta[:6])
+        for rep, o in enumerate(outcomes) if not o.failed
+        for t, (tree, fits) in enumerate(zip(structure.trees, o.fit.models), start=1)
+        for e, fit in zip(tree, fits)
+    ]
+    rep, tree, label, true_family, selected_family, kept, tp, fp, mae, beta = zip(*rows) if rows else [()] * 10
     return VineScenarioReport(
         config=config,
         structure=structure,
-        rep=rep_col[keep],
-        tree=tree_col[keep],
-        edge_label=edge_label[:row],
-        beta_hat=beta_hat[keep],
-        mae=mae[keep],
-        tp=tp[keep],
-        fp=fp[keep],
-        kept_sizes=kept_sizes[keep],
-        true_family=true_family[:row],
-        selected_family=selected_family[:row],
+        rep=np.array(rep, dtype=int),
+        tree=np.array(tree, dtype=int),
+        edge_label=list(label),
+        beta_hat=np.array(beta, dtype=float).reshape(-1, 6),
+        mae=np.array(mae, dtype=float),
+        tp=np.array(tp, dtype=int),
+        fp=np.array(fp, dtype=int),
+        kept_sizes=np.array(kept, dtype=int),
+        true_family=list(true_family),
+        selected_family=list(selected_family),
         failures=failures,
     )
 
