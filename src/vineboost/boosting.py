@@ -114,17 +114,23 @@ class BoostPath:
         return beta
 
 
-def _checked_data(pairs, Z):
-    """``pairs`` and ``Z`` as float arrays, checked for shape and finiteness."""
+def _checked_pairs(pairs):
+    """``pairs`` as a float array, checked for shape, rows and finiteness."""
     pairs = np.asarray(pairs, dtype=float)
-    Z = np.asarray(Z, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InterfaceError("pairs must be an (N, 2) array")
     if len(pairs) == 0:
         raise InterfaceError("pairs must hold at least one row")
+    _require_finite("pairs", pairs)
+    return pairs
+
+
+def _checked_data(pairs, Z):
+    """``pairs`` and ``Z`` as float arrays, checked for shape and finiteness."""
+    pairs = _checked_pairs(pairs)
+    Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != pairs.shape[0]:
         raise InterfaceError("Z must be an (N, p+1) array aligned with pairs")
-    _require_finite("pairs", pairs)
     _require_finite("Z", Z)
     return pairs, Z
 

@@ -32,7 +32,7 @@ from .errors import (
 from .families import CopulaFamily
 from .scoring import dm_test, energy_score, variogram_score
 from .simulation import ScenarioConfig, run_scenario
-from .vine import ConditionalVineModel, VineStructure, _from_file, fit_vine, select_structure
+from .vine import ConditionalVineModel, VineStructure, _from_file, _require_valid, fit_vine, select_structure
 
 log = logging.getLogger("vineboost")
 
@@ -166,7 +166,7 @@ def cmd_fit(args):
         structure = select_structure(U)
         log.info("selected structure: %s", [[e.label() for e in t] for t in structure.trees])
     else:
-        structure = _from_file(args.structure, VineStructure.from_dict)
+        structure = _from_file(args.structure, lambda obj: _require_valid(VineStructure.from_dict(obj)))
     families = parse_families(args.families)
     control = control_from_args(args)
     model = fit_vine(
@@ -331,10 +331,7 @@ def cmd_score(args):
 
 
 def cmd_simulate(args):
-    try:
-        config = ScenarioConfig.from_json(args.scenario)
-    except TypeError as exc:
-        raise ConfigurationError(f"{args.scenario}: bad scenario field: {exc}")
+    config = ScenarioConfig.from_json(args.scenario)
     report = run_scenario(config)
     out_dir = Path(args.out_dir)
     report.write_csv(out_dir)

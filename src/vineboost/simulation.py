@@ -14,8 +14,8 @@ covariates, plain boosting).
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ from . import boosting as bst
 from .boosting import BoostControl
 from .errors import ConfigurationError
 from .families import FIT_FAMILIES, CopulaFamily, hinv, link_tau
-from .vine import ConditionalVineModel, VineEdge, VineStructure, _family, fit_vine
+from .vine import ConditionalVineModel, VineEdge, VineStructure, _family, _from_file, fit_vine
 
 __all__ = [
     "TRUE_BETA",
@@ -70,6 +70,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         bst._require_type(self, ("N", "p", "n_reps", "seed"), (int, np.integer), "an integer")
+        bst._require_type(self, ("rho",), numbers.Real, "a real number")
         if not isinstance(self.family_draw, (bool, np.bool_)):
             raise ConfigurationError(f"family_draw must be true or false, got {self.family_draw!r}")
         if not isinstance(self.control, BoostControl):
@@ -98,15 +99,28 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        obj = dict(obj)
-        if "control" in obj and isinstance(obj["control"], dict):
-            obj["control"] = BoostControl(**obj["control"])
+        """The configuration of a :meth:`to_dict` document.  A document that
+        is not an object, or an unknown key in it or in its ``control``
+        object, raises :class:`ConfigurationError`."""
+        obj = dict(_known_keys(obj, cls, "scenario"))
+        if isinstance(obj.get("control"), dict):
+            obj["control"] = BoostControl(**_known_keys(obj["control"], BoostControl, "scenario control"))
         return cls(**obj)
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The configuration in the JSON file ``path``; errors name the file."""
+        return _from_file(path, cls.from_dict)
+
+
+def _known_keys(obj, cls, where):
+    """``obj``, checked to be a dict whose keys are fields of ``cls``."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown key {unknown[0]!r}")
+    return obj
 
 
 def gen_covariates(N, p, rho, seed):

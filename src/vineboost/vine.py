@@ -21,7 +21,7 @@ import numpy as np
 from . import boosting as bst
 from .boosting import BoostControl, FittedPairCopula, predict_tau
 from .errors import ConfigurationError, InterfaceError, StructureError
-from .families import CopulaFamily, hfunc, hinv, log_density, tau_to_theta, U_EPS
+from .families import CopulaFamily, _require_finite, hfunc, hinv, log_density, tau_to_theta, U_EPS
 
 __all__ = [
     "VineEdge",
@@ -138,7 +138,7 @@ def _from_file(path, from_dict):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return from_dict(json.load(fh))
-    except (json.JSONDecodeError, InterfaceError, StructureError) as exc:
+    except (json.JSONDecodeError, InterfaceError, StructureError, ConfigurationError) as exc:
         exc.args = (f"{path}: {exc.args[0]}",) + exc.args[1:]
         raise
 
@@ -256,9 +256,11 @@ def _is_tree(nodes, links):
 
 
 def _require_valid(structure):
+    """``structure``; a violation of the regular-vine conditions raises :class:`StructureError`."""
     violations = validate_structure(structure)
     if violations:
         raise StructureError("; ".join(violations))
+    return structure
 
 
 def _clamp_unit(x):
@@ -359,6 +361,7 @@ class ConditionalVineModel:
             raise InterfaceError(
                 f"covariate width {Z.shape[1]} does not match the model's {self.n_covariates}"
             )
+        _require_finite("Z", Z)
         return Z
 
     def _check_UZ(self, U, Z, name="U"):
@@ -368,6 +371,7 @@ class ConditionalVineModel:
             raise InterfaceError(f"{name} width {U.shape[-1]} does not match dimension {self.d}")
         if U.shape[0] != Z.shape[0]:
             raise InterfaceError(f"{name} and Z must have the same number of rows")
+        _require_finite(name, U)
         return U, Z
 
     def _cdf(self, values, Z):
@@ -615,6 +619,8 @@ def fit_vine(
         raise InterfaceError("U and Z must be 2-d with matching row counts")
     if U.shape[1] != structure.d:
         raise InterfaceError(f"U has {U.shape[1]} columns, structure has d={structure.d}")
+    _require_finite("U", U)
+    _require_finite("Z", Z)
     _require_valid(structure)
     if covariate_names is None:
         covariate_names = tuple(f"z{j}" for j in range(Z.shape[1]))
@@ -638,7 +644,7 @@ def fit_vine(
         for e, fams in zip(tree, candidates[t]):
             try:
                 pairs = np.column_stack([_cond_cdf(v, e.cond, index, h, values, cache) for v in (e.a, e.b)])
-                data[e] = bst._checked_data(pairs, Z)[0]
+                data[e] = bst._checked_pairs(pairs)
                 stacks.setdefault(fams, []).append(e)
             except Exception as exc:
                 outcome[e] = exc
@@ -748,6 +754,4 @@ def select_structure(U):
         trees.append(tree)
         nodes = [e.union for e in tree]
 
-    structure = VineStructure.from_edges(d, trees)
-    _require_valid(structure)
-    return structure
+    return _require_valid(VineStructure.from_edges(d, trees))

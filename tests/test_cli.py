@@ -271,13 +271,28 @@ class TestSimulate:
         for name in ("coefficients.csv", "selection.csv", "families.csv", "mae.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_invalid_config_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2(self, tmp_path, caplog):
         path = self.scenario(tmp_path, rho=1.5)
         assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
+        assert f"{path}: rho must lie in (0, 1)" in caplog.text
 
-    def test_unknown_field_exits_2(self, tmp_path):
+    def test_unknown_field_exits_2(self, tmp_path, caplog):
         path = self.scenario(tmp_path, bogus_field=1)
         assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
+        assert f"{path}: scenario: unknown key 'bogus_field'" in caplog.text
+
+    @pytest.mark.parametrize("text, message", [
+        ("{kind: 1}", "Expecting property name enclosed in double quotes: line 1 column 2"),
+        ("[1, 2]", "scenario: expected an object, got [1, 2]"),
+        ('{"rho": null}', "rho must be a real number, got None"),
+        ('{"control": {"protect_intercept": true}}', "scenario control: unknown key 'protect_intercept'"),
+    ], ids=["invalid-json", "not-an-object", "rho-null", "unknown-control-key"])
+    def test_bad_document_exits_2_naming_the_file(self, tmp_path, caplog, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
+        assert f"{path}: {message}" in caplog.text
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("family", "frank"), ("N", 100.5), ("N", True), ("p", 8.0), ("n_reps", 1.5), ("seed", 5.5),
@@ -286,9 +301,10 @@ class TestSimulate:
         ("count_intercept_tp", True), ("control", {"m_stop": 60, "protect_intercept": True}),
         ("seed", -1), ("control", {"m_stop": 60, "seed": -1}),
     ])
-    def test_malformed_field_exits_2_before_any_output(self, tmp_path, field, value):
+    def test_malformed_field_exits_2_before_any_output(self, tmp_path, caplog, field, value):
         path = self.scenario(tmp_path, **{field: value})
         assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
+        assert caplog.messages[-1].startswith(f"{path}: ")
         assert not (tmp_path / "o").exists()
 
 
@@ -368,6 +384,8 @@ MALFORMED = [
     ("fit", "structure", json.dumps({"d": 3, "trees": [[{"a": 0, "b": 1, "conditioning": [1]}]]}),
      ": structure tree 1 edge 1: conditioned variables cannot appear in the conditioning set"),
     ("fit", "structure", json.dumps({"trees": []}), ": structure: missing key 'd'"),
+    ("fit", "structure", json.dumps({"d": 3, "trees": [[{"a": 0, "b": 1, "conditioning": []}]]}),
+     ": expected 2 trees, found 1"),
     ("fit", "structure", "{\"d\": 3,", ": Expecting property name enclosed in double quotes: line 1 column 9"),
     ("sample", "model", model_json(lambda trees: trees[1][0].update(conditioning=[0])),
      ": model tree 2 edge 1: conditioned variables cannot appear in the conditioning set"),
@@ -385,6 +403,7 @@ MALFORMED = [
          "model-truncation-negative", "fit-truncate-zero", "fit-truncate-above-d",
          "fit-cv-folds-too-small", "fit-negative-seed", "sample-negative-seed",
          "structure-edge-to-itself", "structure-conditioned-in-conditioning", "structure-missing-d",
+         "structure-not-a-vine",
          "structure-invalid-json", "model-conditioned-in-conditioning", "model-invalid-json"],
 )
 def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):

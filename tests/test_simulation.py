@@ -1,12 +1,19 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 
+from vineboost import simulation
 from vineboost.boosting import BoostControl
 from vineboost.errors import ConfigurationError
 from vineboost.simulation import (
     INFORMATIVE,
     TRUE_BETA,
     ScenarioConfig,
+    _bicop_rep,
+    _rep_seeds,
+    _vine_rep,
     benchmark_rvine_structure,
     gen_covariates,
     mae_tau,
@@ -81,6 +88,22 @@ class TestScenarioConfig:
                              control=BoostControl(m_stop=50), seed=9)
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1, 2], "scenario: expected an object, got [1, 2]"),
+        ({"bogus": 1}, "scenario: unknown key 'bogus'"),
+        ({"control": {"m_stop": 5, "bogus": 1}}, "scenario control: unknown key 'bogus'"),
+        ({"rho": "0.2"}, "rho must be a real number, got '0.2'"),
+    ])
+    def test_malformed_document(self, obj, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig.from_dict(obj)
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"rho": 1.5}')
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: rho must lie in"):
+            ScenarioConfig.from_json(path)
 
 
 class TestBicopScenario:
@@ -247,3 +270,87 @@ class TestVineScenario:
         cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=1, family="gaussian",
                              control=quick_control(50), seed=23)
         assert run_scenario(cfg).beta_hat.shape == (1, 6)
+
+    def test_failed_repetition_has_no_rows(self, tmp_path, monkeypatch):
+        fit_vine, calls = simulation.fit_vine, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("forced failure")
+            return fit_vine(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "fit_vine", failing_second)
+        cfg = ScenarioConfig(kind="vine", N=300, p=8, rho=0.2, n_reps=3, family="gaussian",
+                             mode="specified", control=quick_control(40), seed=24)
+        rep = run_vine_scenario(cfg)
+        assert rep.failures == [(1, "FloatingPointError('forced failure')")]
+        np.testing.assert_array_equal(rep.rep, np.repeat([0, 2], 10))
+        assert rep.beta_hat.shape == (20, 6) and len(rep.true_family) == len(rep.selected_family) == 20
+        rep.write_csv(tmp_path)
+        lines = (tmp_path / "edges.csv").read_text().splitlines()
+        assert len(lines) == 1 + 20
+        assert sorted({line.split(",")[0] for line in lines[1:]}) == ["0", "2"]
+
+    def test_every_repetition_failing_leaves_empty_columns(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("forced failure")
+
+        monkeypatch.setattr(simulation, "fit_vine", failing)
+        cfg = ScenarioConfig(kind="vine", N=200, p=8, rho=0.2, n_reps=2, family="gaussian",
+                             control=quick_control(40), seed=25)
+        rep = run_vine_scenario(cfg)
+        assert [r for r, _ in rep.failures] == [0, 1]
+        assert rep.beta_hat.shape == (0, 6) and rep.beta_hat.dtype == float
+        for column in (rep.rep, rep.tree, rep.tp, rep.fp, rep.kept_sizes):
+            assert column.shape == (0,) and column.dtype == int
+        assert rep.mae.shape == (0,) and rep.edge_label == rep.true_family == rep.selected_family == []
+        rep.write_csv(tmp_path)
+        assert (tmp_path / "edges.csv").read_text().splitlines() == [
+            "rep,tree,edge,true_family,selected_family,kept,tp,fp,mae_tau," + ",".join(f"beta{j}" for j in range(6))
+        ]
+
+
+class TestRepetitionFunctions:
+    """One repetition is a module-level function of the configuration and its
+    spawned seed, so a process pool can run it: the r-th seed reproduces
+    repetition r of the full run, and the function and its outcome pickle."""
+
+    def test_bicop_rep_reproduces_its_repetition(self):
+        cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=3, family=None, family_draw=True,
+                             control=quick_control(60), seed=29)
+        report = run_bicop_scenario(cfg)
+        seed = _rep_seeds(cfg.seed, cfg.n_reps)[2]
+        assert pickle.loads(pickle.dumps(_bicop_rep)) is _bicop_rep
+        outcome = pickle.loads(pickle.dumps(_bicop_rep(*pickle.loads(pickle.dumps((cfg, seed))))))
+        assert outcome.truth.value == report.true_family[2]
+        assert outcome.fit.family.value == report.selected_family[2]
+        np.testing.assert_array_equal(outcome.fit.beta[:6], report.beta_hat[2])
+        assert mae_tau(outcome.eta, outcome.Z @ outcome.fit.beta) == report.mae[2]
+
+    def test_vine_rep_reproduces_its_repetition(self):
+        cfg = ScenarioConfig(kind="vine", N=300, p=8, rho=0.2, n_reps=2, family=None, family_draw=True,
+                             mode="specified", control=quick_control(40), seed=27)
+        report = run_vine_scenario(cfg)
+        seed = _rep_seeds(cfg.seed, cfg.n_reps)[1]
+        assert pickle.loads(pickle.dumps(_vine_rep)) is _vine_rep
+        outcome = pickle.loads(pickle.dumps(_vine_rep(*pickle.loads(pickle.dumps((cfg, seed))))))
+        rows = report.rep == 1
+        edges = [e for tree in outcome.fit.structure.trees for e in tree]
+        fits = [fit for tree in outcome.fit.models for fit in tree]
+        assert [e.label() for e in edges] == [label for label, r in zip(report.edge_label, rows) if r]
+        assert [outcome.truth[e].value for e in edges] == [f for f, r in zip(report.true_family, rows) if r]
+        np.testing.assert_array_equal([fit.beta[:6] for fit in fits], report.beta_hat[rows])
+        np.testing.assert_array_equal([mae_tau(outcome.eta, outcome.Z @ fit.beta) for fit in fits],
+                                      report.mae[rows])
+
+    def test_failed_outcome_pickles(self, monkeypatch):
+        import vineboost.boosting as bst
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("forced failure")
+
+        monkeypatch.setattr(bst, "fit_pair", failing)
+        cfg = ScenarioConfig(N=100, p=8, rho=0.2, n_reps=1, family="gaussian", control=quick_control(20), seed=28)
+        outcome = pickle.loads(pickle.dumps(_bicop_rep(cfg, _rep_seeds(cfg.seed, 1)[0])))
+        assert repr(outcome.fit) == "FloatingPointError('forced failure')"

@@ -637,3 +637,31 @@ class TestDataChecks:
             Z = Z[:-2]
         with pytest.raises(InterfaceError):
             getattr(model, method)(U, Z)
+
+    @pytest.mark.parametrize("method, array", [
+        *((method, array) for method in ("pseudo_observations", "log_density", "rosenblatt", "inverse_rosenblatt")
+          for array in ("U", "Z")),
+        ("sample", "Z"),
+    ])
+    def test_non_finite_data_is_an_interface_error_naming_its_cell(self, method, array):
+        model = constant_tau_model(benchmark_rvine_structure(), [CopulaFamily.GAUSSIAN] * 10, [0.3] * 10, 2)
+        rng = np.random.default_rng(24)
+        U = rng.random((6, 5))
+        Z = np.column_stack([np.ones(6), rng.standard_normal(6)])
+        (U if array == "U" else Z)[4, 1] = np.nan
+        name = "W" if method == "inverse_rosenblatt" and array == "U" else array
+        args = (Z, 0) if method == "sample" else (U, Z)
+        with pytest.raises(InterfaceError, match=rf"^{name} row 4, column 1 is not finite \(nan\)$"):
+            getattr(model, method)(*args)
+
+    @pytest.mark.parametrize("array", ["U", "Z"])
+    def test_fit_vine_names_the_non_finite_input_before_any_edge_is_fitted(self, monkeypatch, array):
+        prepared = []
+        monkeypatch.setattr(B, "prepare", lambda *a: prepared.append(a))
+        rng = np.random.default_rng(25)
+        U = rng.random((100, 5))
+        Z = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
+        (U if array == "U" else Z)[7, 2] = np.inf
+        with pytest.raises(InterfaceError, match=rf"^{array} row 7, column 2 is not finite \(inf\)$"):
+            fit_vine(U, Z, benchmark_rvine_structure(), FIT_FAMILIES, BoostControl(m_stop=10))
+        assert prepared == []
