@@ -17,7 +17,6 @@ import csv
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -192,36 +191,33 @@ def _write_table(out_dir, name, header, rows):
         w.writerows(rows)
 
 
-class _Rep(NamedTuple):
-    """A repetition's true family (one per edge for a vine), true linear
-    predictor, covariates fitted on, and fit or the exception that stopped it."""
-
-    truth: object
-    eta: np.ndarray
-    Z: np.ndarray
-    fit: object
-
-    @property
-    def failed(self):
-        return isinstance(self.fit, Exception)
-
-
 def _attempt(fit, *args, **kwargs):
-    """``fit(*args, **kwargs)``, or the exception that stopped it."""
+    """``(fit(*args, **kwargs), None)``, or ``(None, repr(exc))`` of the
+    exception that stopped it; only its message outlives the failure."""
     try:
-        return fit(*args, **kwargs)
+        return fit(*args, **kwargs), None
     except Exception as exc:  # per-rep failures are recorded, not fatal
-        return exc
+        return None, repr(exc)
 
 
 def _run_reps(config, rep_fn):
-    """``rep_fn(config, seed)`` of every repetition, and ``(rep, repr(exc))`` of each that failed."""
-    outcomes = [rep_fn(config, seed) for seed in _rep_seeds(config.seed, config.n_reps)]
-    return outcomes, [(rep, repr(o.fit)) for rep, o in enumerate(outcomes) if o.failed]
+    """The report rows of every repetition, each led by its index, and
+    ``(rep, error)`` of each whose fit failed.  ``rep_fn(config, seed)``
+    returns one repetition's rows and its ``_attempt`` error."""
+    rows, failures = [], []
+    for rep, seed in enumerate(_rep_seeds(config.seed, config.n_reps)):
+        rep_rows, error = rep_fn(config, seed)
+        rows += [(rep, *row) for row in rep_rows]
+        if error is not None:
+            failures.append((rep, error))
+    return rows, failures
 
 
 def _bicop_rep(config, seed):
-    """One repetition of the bivariate scenario, drawn from ``seed``."""
+    """One repetition of the bivariate scenario, drawn from ``seed``: its one
+    report row (beta[:6], kept, tp, fp, mae, m_opt, true and selected
+    family) and its fit's error.  A failed fit keeps NaN estimates and
+    counts, its true family and ``"failed"``."""
     rng = np.random.default_rng(seed)
     Z = gen_covariates(config.N, config.p, config.rho, rng)
     eta = true_eta(Z)
@@ -231,8 +227,13 @@ def _bicop_rep(config, seed):
     pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, link_tau(eta))])
     if config.mode == "specified":
         Z = Z[:, :6]
-        return _Rep(family, eta, Z, _attempt(bst.fit_family, pairs, Z, family, config.control, refit=False))
-    return _Rep(family, eta, Z, _attempt(bst.fit_pair, pairs, Z, FIT_FAMILIES, config.control))
+        fit, error = _attempt(bst.fit_family, pairs, Z, family, config.control, refit=False)
+    else:
+        fit, error = _attempt(bst.fit_pair, pairs, Z, FIT_FAMILIES, config.control)
+    if error is not None:
+        return [(np.full(6, np.nan), np.nan, np.nan, np.nan, np.nan, np.nan, family.value, "failed")], error
+    return [(fit.beta[:6], len(fit.kept), *_tp_fp(fit.kept), mae_tau(eta, Z @ fit.beta), fit.m_opt,
+             family.value, fit.family.value)], None
 
 
 @dataclass
@@ -278,22 +279,18 @@ def run_bicop_scenario(config):
     """Simulate, fit and score the conditional bivariate copula scenario."""
     if config.kind != "bicop":
         raise ConfigurationError("config.kind must be 'bicop'")
-    outcomes, failures = _run_reps(config, _bicop_rep)
-
-    def column(value, missing=np.nan):
-        # a failed repetition keeps NaN estimates and counts
-        return np.array([missing if o.failed else value(o) for o in outcomes], dtype=float)
-
+    rows, failures = _run_reps(config, _bicop_rep)
+    _, beta_hat, kept_sizes, tp, fp, mae, m_opt, true_family, selected_family = zip(*rows)
     return BicopScenarioReport(
         config=config,
-        beta_hat=column(lambda o: o.fit.beta[:6], np.full(6, np.nan)),
-        kept_sizes=column(lambda o: len(o.fit.kept)),
-        tp=column(lambda o: _tp_fp(o.fit.kept)[0]),
-        fp=column(lambda o: _tp_fp(o.fit.kept)[1]),
-        mae=column(lambda o: mae_tau(o.eta, o.Z @ o.fit.beta)),
-        m_opt=column(lambda o: o.fit.m_opt),
-        true_family=[o.truth.value for o in outcomes],
-        selected_family=["failed" if o.failed else o.fit.family.value for o in outcomes],
+        beta_hat=np.array(beta_hat, dtype=float),
+        kept_sizes=np.array(kept_sizes, dtype=float),
+        tp=np.array(tp, dtype=float),
+        fp=np.array(fp, dtype=float),
+        mae=np.array(mae, dtype=float),
+        m_opt=np.array(m_opt, dtype=float),
+        true_family=list(true_family),
+        selected_family=list(selected_family),
         failures=failures,
     )
 
@@ -322,7 +319,10 @@ class VineScenarioReport:
         return {t: float(np.median(self.mae[self.tree == t])) for t in levels}
 
     def median_beta_by_tree(self):
-        return {t: np.median(self.beta_hat[self.tree == t], axis=0) for t in sorted(set(self.tree.tolist()))}
+        out = {}
+        for t in sorted(set(self.tree.tolist())):
+            out[t] = np.median(self.beta_hat[self.tree == t], axis=0)
+        return out
 
     def coefficient_bias_by_tree(self):
         """Mean absolute deviation of the per-tree median coefficients."""
@@ -341,32 +341,43 @@ class VineScenarioReport:
 
     def write_csv(self, out_dir):
         header = ["rep", "tree", "edge", "true_family", "selected_family", "kept", "tp", "fp", "mae_tau"]
-        rows = zip(self.rep, self.tree, self.edge_label, self.true_family, self.selected_family,
-                   self.kept_sizes, self.tp, self.fp, self.mae, self.beta_hat)
-        _write_table(out_dir, "edges.csv", header + [f"beta{j}" for j in range(6)],
-                     ([*row] + [repr(float(v)) for v in (mae, *beta)] for *row, mae, beta in rows))
+        rows = (
+            [self.rep[i], self.tree[i], self.edge_label[i], self.true_family[i], self.selected_family[i],
+             self.kept_sizes[i], self.tp[i], self.fp[i], repr(float(self.mae[i]))]
+            + [repr(float(v)) for v in self.beta_hat[i]]
+            for i in range(len(self.rep))
+        )
+        _write_table(out_dir, "edges.csv", header + [f"beta{j}" for j in range(6)], rows)
 
 
 def _vine_rep(config, seed):
-    """One repetition of the vine scenario, drawn from ``seed``."""
+    """One repetition of the vine scenario, drawn from ``seed``: one report
+    row per edge (tree, label, true and selected family, kept, tp, fp, mae,
+    beta[:6]) and its fit's error.  A failed fit has no rows."""
     structure = benchmark_rvine_structure()
     edges = [e for tree in structure.trees for e in tree]
     rng = np.random.default_rng(seed)
     Z = gen_covariates(config.N, config.p, config.rho, rng)
     eta = true_eta(Z)
-    fams = [CopulaFamily(config.family) if not config.family_draw else _draw_family(rng) for _ in edges]
+    family_of = {e: CopulaFamily(config.family) if not config.family_draw else _draw_family(rng) for e in edges}
     betas = [np.concatenate([TRUE_BETA, np.zeros(Z.shape[1] - 6)])] * len(edges)
-    truth = ConditionalVineModel.from_coefficients(structure, fams, betas)
+    truth = ConditionalVineModel.from_coefficients(structure, list(family_of.values()), betas)
     U = truth.sample(Z, seed=rng.integers(2**63))
-    family_of = dict(zip(edges, fams))
     if config.mode == "specified":
         Z = Z[:, :6]
         edge_families = [[family_of[e] for e in tree] for tree in structure.trees]
-        fit = _attempt(fit_vine, U, Z, structure, None,
-                       control=config.control, edge_families=edge_families, deselect=False)
+        fitted, error = _attempt(fit_vine, U, Z, structure, None,
+                                 control=config.control, edge_families=edge_families, deselect=False)
     else:
-        fit = _attempt(fit_vine, U, Z, structure, FIT_FAMILIES, control=config.control)
-    return _Rep(family_of, eta, Z, fit)
+        fitted, error = _attempt(fit_vine, U, Z, structure, FIT_FAMILIES, control=config.control)
+    if error is not None:
+        return [], error
+    return [
+        (t, e.label(), family_of[e].value, fit.family.value, len(fit.kept), *_tp_fp(fit.kept),
+         mae_tau(eta, Z @ fit.beta), fit.beta[:6])
+        for t, (tree, fits) in enumerate(zip(structure.trees, fitted.models), start=1)
+        for e, fit in zip(tree, fits)
+    ], None
 
 
 def run_vine_scenario(config):
@@ -374,17 +385,9 @@ def run_vine_scenario(config):
     if config.kind != "vine":
         raise ConfigurationError("config.kind must be 'vine'")
     structure = benchmark_rvine_structure()
-    outcomes, failures = _run_reps(config, _vine_rep)
-    # one row per (rep, tree, edge) of the repetitions that ran, in the
-    # column order of edges.csv; a failed repetition has no rows
-    rows = [
-        (rep, t, e.label(), o.truth[e].value, fit.family.value, len(fit.kept), *_tp_fp(fit.kept),
-         mae_tau(o.eta, o.Z @ fit.beta), fit.beta[:6])
-        for rep, o in enumerate(outcomes) if not o.failed
-        for t, (tree, fits) in enumerate(zip(structure.trees, o.fit.models), start=1)
-        for e, fit in zip(tree, fits)
-    ]
-    rep, tree, label, true_family, selected_family, kept, tp, fp, mae, beta = zip(*rows) if rows else [()] * 10
+    rows, failures = _run_reps(config, _vine_rep)
+    # one column per field of the rows; empty ones when every repetition failed
+    rep, tree, label, true_family, selected_family, kept, tp, fp, mae, beta = list(zip(*rows)) or [()] * 10
     return VineScenarioReport(
         config=config,
         structure=structure,

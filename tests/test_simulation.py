@@ -322,11 +322,15 @@ class TestRepetitionFunctions:
         report = run_bicop_scenario(cfg)
         seed = _rep_seeds(cfg.seed, cfg.n_reps)[2]
         assert pickle.loads(pickle.dumps(_bicop_rep)) is _bicop_rep
-        outcome = pickle.loads(pickle.dumps(_bicop_rep(*pickle.loads(pickle.dumps((cfg, seed))))))
-        assert outcome.truth.value == report.true_family[2]
-        assert outcome.fit.family.value == report.selected_family[2]
-        np.testing.assert_array_equal(outcome.fit.beta[:6], report.beta_hat[2])
-        assert mae_tau(outcome.eta, outcome.Z @ outcome.fit.beta) == report.mae[2]
+        outcome = _bicop_rep(*pickle.loads(pickle.dumps((cfg, seed))))
+        # the outcome is the report row alone, not the covariates or the fit
+        assert len(pickle.dumps(outcome)) < cfg.N * 8
+        [(beta, kept, tp, fp, mae, m_opt, true_family, selected_family)], error = pickle.loads(pickle.dumps(outcome))
+        assert error is None
+        np.testing.assert_array_equal(beta, report.beta_hat[2])
+        assert [kept, tp, fp, mae, m_opt] == [report.kept_sizes[2], report.tp[2], report.fp[2],
+                                              report.mae[2], report.m_opt[2]]
+        assert (true_family, selected_family) == (report.true_family[2], report.selected_family[2])
 
     def test_vine_rep_reproduces_its_repetition(self):
         cfg = ScenarioConfig(kind="vine", N=300, p=8, rho=0.2, n_reps=2, family=None, family_draw=True,
@@ -334,23 +338,38 @@ class TestRepetitionFunctions:
         report = run_vine_scenario(cfg)
         seed = _rep_seeds(cfg.seed, cfg.n_reps)[1]
         assert pickle.loads(pickle.dumps(_vine_rep)) is _vine_rep
-        outcome = pickle.loads(pickle.dumps(_vine_rep(*pickle.loads(pickle.dumps((cfg, seed))))))
-        rows = report.rep == 1
-        edges = [e for tree in outcome.fit.structure.trees for e in tree]
-        fits = [fit for tree in outcome.fit.models for fit in tree]
-        assert [e.label() for e in edges] == [label for label, r in zip(report.edge_label, rows) if r]
-        assert [outcome.truth[e].value for e in edges] == [f for f, r in zip(report.true_family, rows) if r]
-        np.testing.assert_array_equal([fit.beta[:6] for fit in fits], report.beta_hat[rows])
-        np.testing.assert_array_equal([mae_tau(outcome.eta, outcome.Z @ fit.beta) for fit in fits],
-                                      report.mae[rows])
+        outcome = _vine_rep(*pickle.loads(pickle.dumps((cfg, seed))))
+        assert len(pickle.dumps(outcome)) < cfg.N * 8
+        rows, error = pickle.loads(pickle.dumps(outcome))
+        assert error is None
+        tree, label, true_family, selected_family, kept, tp, fp, mae, beta = zip(*rows)
+        ran = report.rep == 1
+        np.testing.assert_array_equal(tree, report.tree[ran])
+        assert list(label) == [v for v, r in zip(report.edge_label, ran) if r]
+        assert list(true_family) == [v for v, r in zip(report.true_family, ran) if r]
+        assert list(selected_family) == [v for v, r in zip(report.selected_family, ran) if r]
+        for column, expected in ((kept, report.kept_sizes), (tp, report.tp), (fp, report.fp), (mae, report.mae)):
+            np.testing.assert_array_equal(column, expected[ran])
+        np.testing.assert_array_equal(beta, report.beta_hat[ran])
 
-    def test_failed_outcome_pickles(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["bicop", "vine"])
+    def test_failed_outcome_is_its_row_and_message(self, kind, monkeypatch):
         import vineboost.boosting as bst
 
         def failing(*args, **kwargs):
             raise FloatingPointError("forced failure")
 
         monkeypatch.setattr(bst, "fit_pair", failing)
-        cfg = ScenarioConfig(N=100, p=8, rho=0.2, n_reps=1, family="gaussian", control=quick_control(20), seed=28)
-        outcome = pickle.loads(pickle.dumps(_bicop_rep(cfg, _rep_seeds(cfg.seed, 1)[0])))
-        assert repr(outcome.fit) == "FloatingPointError('forced failure')"
+        monkeypatch.setattr(simulation, "fit_vine", failing)
+        cfg = ScenarioConfig(kind=kind, N=100, p=8, rho=0.2, n_reps=1, family="gaussian",
+                             control=quick_control(20), seed=28)
+        rep_fn = _bicop_rep if kind == "bicop" else _vine_rep
+        rows, error = pickle.loads(pickle.dumps(rep_fn(cfg, _rep_seeds(cfg.seed, 1)[0])))
+        # the message alone is kept, not the exception and the frames its traceback holds
+        assert error == "FloatingPointError('forced failure')"
+        if kind == "vine":
+            assert rows == []
+        else:
+            [(beta, *counts, true_family, selected_family)] = rows
+            assert np.isnan(beta).all() and beta.shape == (6,) and np.isnan(counts).all()
+            assert (true_family, selected_family) == ("gaussian", "failed")
