@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FitError, InterfaceError
-from .families import _BASE, CopulaFamily, _require_finite, link_tau, log_density, prepare
+from .families import _BASE, CopulaFamily, _family, _require_finite, link_tau, log_density, prepare
 
 __all__ = [
     "BoostControl",
@@ -724,7 +724,7 @@ def _fit_families(pairs, Z, families, control, refit=True):
 
 
 def fit_family(pairs, Z, family, control, refit=True):
-    """Boost one family and stop early by AIC or cross-validation.
+    """Boost one family (a :class:`CopulaFamily` or its tag) and stop early by AIC or CV.
 
     With ``refit`` the covariates are then deselected and the model is
     boosted again on the survivors, scanning only their columns; when
@@ -733,7 +733,7 @@ def fit_family(pairs, Z, family, control, refit=True):
     returned and ``survivors`` and ``refit_path`` stay ``None``.
     """
     pairs, Z = _checked_data(pairs, Z)
-    fit = _fit_families(pairs, Z, [family], control, refit)[family]
+    (fit,) = _fit_families(pairs, Z, [_family(family)], control, refit).values()
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -745,8 +745,8 @@ def _check_criterion(criterion):
 
 
 def _candidates(families, criterion):
-    """The candidate families as a list, checked with the selection criterion."""
-    families = list(families)
+    """The candidate families as :class:`CopulaFamily` values, checked with the criterion."""
+    families = [_family(f) for f in families]
     if not families:
         raise ConfigurationError("families must be non-empty")
     _check_criterion(criterion)
@@ -810,9 +810,9 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     ``criterion`` selects among candidates: "aic" (default), "loglik"
     (in-sample) or "predictive_risk" (negative log likelihood on the last
     25% of rows, candidates fitted on the first 75%, winner refitted on all
-    rows).  The candidates are boosted together on one standardized design
-    (see :func:`_boost_paths`).  Candidate failures are collected; if every
-    family fails a :class:`FitError` carries the per-family diagnostics.
+    rows).  The candidates, :class:`CopulaFamily` values or tags, are boosted
+    together on one standardized design (see :func:`_boost_paths`).  If every
+    family fails, a :class:`FitError` carries the per-family diagnostics.
     """
     control = control or BoostControl()
     families = _candidates(families, criterion)

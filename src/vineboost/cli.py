@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -29,9 +30,9 @@ from .errors import (
     InterfaceError,
     StructureError,
 )
-from .families import CopulaFamily
+from .families import _family
 from .scoring import dm_test, energy_score, variogram_score
-from .simulation import ScenarioConfig, run_scenario
+from .simulation import ScenarioConfig, _fmt, _write_table, run_scenario
 from .vine import ConditionalVineModel, VineStructure, _from_file, _require_valid, fit_vine, select_structure
 
 log = logging.getLogger("vineboost")
@@ -40,10 +41,6 @@ _USAGE_ERRORS = (DomainError, InterfaceError, ConfigurationError, StructureError
 _NUMERIC_ERRORS = (EvaluationError, FitError, FloatingPointError, np.linalg.LinAlgError)
 
 INTERCEPT_NAME = "(intercept)"
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _floats(path, ln, header, row, start=0):
@@ -94,12 +91,13 @@ def read_csv_matrix(path):
     return header, np.asarray([_floats(path, ln, header, row) for ln, row in rows], dtype=float)
 
 
-def load_covariates(path, n_rows):
-    """Covariate matrix with an intercept column prepended."""
+def load_covariates(path, n_rows=None):
+    """Covariate matrix with an intercept column prepended: ``n_rows`` (or one) intercept
+    rows without a file; a file must have ``n_rows`` rows unless that is None."""
     if path is None:
-        return [INTERCEPT_NAME], np.ones((n_rows, 1))
+        return [INTERCEPT_NAME], np.ones((n_rows or 1, 1))
     header, Z = read_csv_matrix(path)
-    if len(Z) != n_rows:
+    if n_rows is not None and len(Z) != n_rows:
         raise InterfaceError(f"{path}: {len(Z)} rows do not match the data's {n_rows}")
     return [INTERCEPT_NAME] + header, np.column_stack([np.ones(len(Z)), Z])
 
@@ -127,16 +125,7 @@ def write_manifest(path, command, config, seed, inputs, outputs):
 
 
 def parse_families(text):
-    out = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            out.append(CopulaFamily(name))
-        except ValueError:
-            known = ", ".join(f.value for f in CopulaFamily)
-            raise ConfigurationError(f"unknown copula family {name!r}; known: {known}")
+    out = [_family(name.strip()) for name in text.split(",") if name.strip()]
     if not out:
         raise ConfigurationError("no copula families given")
     return out
@@ -180,18 +169,14 @@ def cmd_fit(args):
         covariate_names=names,
     )
     model.to_json(args.out_model)
-    with open(args.out_report, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tree", "edge", "family", "m_opt", "aic", "loglik", "kept", "coefficients"])
-        for t, (tree, fits) in enumerate(zip(model.structure.trees, model.models), start=1):
-            for e, fit in zip(tree, fits):
-                coef = "|".join(
-                    f"{names[j]}={_fmt(fit.beta[j])}" for j in np.flatnonzero(fit.beta)
-                )
-                writer.writerow(
-                    [t, e.label(), fit.family.value, fit.m_opt, _fmt(fit.aic), _fmt(fit.loglik),
-                     "|".join(str(j) for j in fit.kept), coef]
-                )
+    _write_table(
+        args.out_report, ["tree", "edge", "family", "m_opt", "aic", "loglik", "kept", "coefficients"],
+        ([t, e.label(), fit.family.value, fit.m_opt, _fmt(fit.aic), _fmt(fit.loglik),
+          "|".join(str(j) for j in fit.kept),
+          "|".join(f"{names[j]}={_fmt(fit.beta[j])}" for j in np.flatnonzero(fit.beta))]
+         for t, (tree, fits) in enumerate(zip(model.structure.trees, model.models), start=1)
+         for e, fit in zip(tree, fits)),
+    )
     config = {
         "data": args.data, "covariates": args.covariates, "structure": args.structure,
         "families": args.families, "m_stop": args.m_stop, "nu": args.nu, "gamma": args.gamma,
@@ -215,25 +200,15 @@ def cmd_sample(args):
     if args.seed < 0:
         raise ConfigurationError("--seed must be >= 0")
     model = ConditionalVineModel.from_json(args.model)
-    if args.covariates is None:
-        if model.n_covariates != 1:
+    _, Z = load_covariates(args.covariates)
+    if Z.shape[1] != model.n_covariates:
+        if args.covariates is None:
             raise InterfaceError("model expects covariates; provide --covariates")
-        Zrep = np.ones((args.per_row, 1))
-    else:
-        _, Zfile = read_csv_matrix(args.covariates)
-        Z = np.column_stack([np.ones(len(Zfile)), Zfile])
-        if Z.shape[1] != model.n_covariates:
-            raise InterfaceError(
-                f"{args.covariates}: {Z.shape[1]} columns (incl. intercept) do not match "
-                f"the model's {model.n_covariates}"
-            )
-        Zrep = np.repeat(Z, args.per_row, axis=0)
-    U = model.sample(Zrep, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row"] + [f"u{j + 1}" for j in range(model.d)])
-        for i in range(len(U)):
-            writer.writerow([i // args.per_row] + [_fmt(v) for v in U[i]])
+        raise InterfaceError(f"{args.covariates}: {Z.shape[1]} columns (incl. intercept) do not match "
+                             f"the model's {model.n_covariates}")
+    U = model.sample(np.repeat(Z, args.per_row, axis=0), seed=args.seed)
+    _write_table(args.out, ["row"] + [f"u{j + 1}" for j in range(model.d)],
+                 ([i // args.per_row] + [_fmt(v) for v in U[i]] for i in range(len(U))))
     config = {"model": args.model, "covariates": args.covariates, "per_row": args.per_row}
     write_manifest(
         _manifest_path(args, args.out), "sample", config, args.seed,
@@ -282,7 +257,7 @@ def cmd_score(args):
             if (t, m) not in ensembles:
                 raise InterfaceError(f"forecast rows missing for time {t!r}, method {m!r}")
 
-    # every score first, so that a failing one leaves no partial file
+    # every score and DM test first, so that a failing one leaves no partial file
     computed, rows = {}, []
     for t in times:
         for m in methods:
@@ -298,28 +273,19 @@ def cmd_score(args):
                 computed[(t, m, s)] = val
                 row.append(_fmt(val))
             rows.append(row)
-    with open(args.out_scores, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "method"] + scores_wanted)
-        writer.writerows(rows)
-
-    with open(args.out_dm, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "method_a", "method_b", "statistic", "p_value", "lag", "degenerate"])
-        if len(times) >= 10:
-            for s in scores_wanted:
-                for i in range(len(methods)):
-                    for j in range(i + 1, len(methods)):
-                        a = np.asarray([computed[(t, methods[i], s)] for t in times])
-                        b = np.asarray([computed[(t, methods[j], s)] for t in times])
-                        res = dm_test(a, b)
-                        writer.writerow(
-                            [s, methods[i], methods[j],
-                             _fmt(res.statistic) if not res.degenerate else "nan",
-                             _fmt(res.p_value), res.lag, int(res.degenerate)]
-                        )
-        else:
-            log.warning("fewer than 10 time points; skipping Diebold-Mariano tests")
+    dm_rows = []
+    if len(times) < 10:
+        log.warning("fewer than 10 time points; skipping Diebold-Mariano tests")
+    else:
+        for s in scores_wanted:
+            for a, b in itertools.combinations(methods, 2):
+                res = dm_test(np.asarray([computed[(t, a, s)] for t in times]),
+                              np.asarray([computed[(t, b, s)] for t in times]))
+                dm_rows.append([s, a, b, "nan" if res.degenerate else _fmt(res.statistic),
+                                _fmt(res.p_value), res.lag, int(res.degenerate)])
+    _write_table(args.out_scores, ["time", "method"] + scores_wanted, rows)
+    _write_table(args.out_dm, ["score", "method_a", "method_b", "statistic", "p_value", "lag", "degenerate"],
+                 dm_rows)
 
     config = {"forecasts": args.forecasts, "observations": args.observations,
               "scores": args.scores, "vs_order": args.vs_order}

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, EvaluationError, InterfaceError
+from .errors import ConfigurationError, DomainError, EvaluationError, InterfaceError
 
 __all__ = [
     "CopulaFamily",
@@ -75,6 +75,15 @@ class CopulaFamily(str, Enum):
     GUMBEL_I = "gumbelI"
     GUMBEL_II = "gumbelII"
     INDEPENDENCE = "independence"
+
+
+def _family(value):
+    """``value`` as a :class:`CopulaFamily`; an unknown tag's error lists the known ones."""
+    try:
+        return CopulaFamily(value)
+    except (TypeError, ValueError):
+        known = ", ".join(f.value for f in CopulaFamily)
+        raise ConfigurationError(f"unknown copula family {value!r}; known: {known}") from None
 
 
 #: The candidate set used for fitting (independence is reserved for
@@ -569,8 +578,7 @@ def _gumbel_hinv(w, u, theta):
     delta = np.maximum(theta * (np.log(T) - lx), 0.0)
     with np.errstate(divide="ignore"):
         ly = lx + _log_expm1(delta) / theta
-    v = np.exp(-np.exp(ly))
-    return np.clip(v, U_EPS, 1.0 - U_EPS)
+    return np.exp(-np.exp(ly))
 
 
 class _Base(NamedTuple):
@@ -868,7 +876,7 @@ def hinv(family, which, w, u_cond, tau):
     shape, (w, uc, tau) = _broadcast(w, uc, tau)
     out = _rotated(_BASE[family].hinv, family, k, w, uc, tau)
     _check_finite("hinv", out, (w, uc, tau))
-    return _scalarize(np.clip(out, U_EPS, 1.0 - U_EPS).reshape(shape))
+    return _scalarize(_clamp_u(out).reshape(shape))
 
 
 def sample_pair(family, tau, n, seed):

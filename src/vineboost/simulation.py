@@ -23,8 +23,8 @@ import numpy as np
 from . import boosting as bst
 from .boosting import BoostControl
 from .errors import ConfigurationError
-from .families import FIT_FAMILIES, CopulaFamily, hinv, link_tau
-from .vine import ConditionalVineModel, VineEdge, VineStructure, _family, _from_file, fit_vine
+from .families import FIT_FAMILIES, _family, link_tau, sample_pair
+from .vine import ConditionalVineModel, VineEdge, VineStructure, _from_file, fit_vine
 
 __all__ = [
     "TRUE_BETA",
@@ -78,6 +78,8 @@ class ScenarioConfig:
             raise ConfigurationError("kind must be 'bicop' or 'vine'")
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError("rho must lie in (0, 1)")
+        if self.N < 1:
+            raise ConfigurationError("N must be >= 1")
         if self.p < 6:
             raise ConfigurationError("p must be >= 6 (informative block plus intercept)")
         if self.n_reps < 1:
@@ -90,6 +92,8 @@ class ScenarioConfig:
             raise ConfigurationError("either fix a family or enable family_draw")
         if self.family is not None:
             _family(self.family)
+        if self.control.stopping == "cv":
+            bst._check_fold_rows(self.N, self.control.cv_folds)
 
     def to_dict(self):
         out = asdict(self)
@@ -182,10 +186,14 @@ def _count(v):
     return "nan" if np.isnan(v) else int(v)
 
 
-def _write_table(out_dir, name, header, rows):
-    """Write ``header`` and ``rows`` to the CSV file ``out_dir/name``."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    with open(Path(out_dir) / name, "w", newline="", encoding="utf-8") as fh:
+def _fmt(x):
+    """A float as every output table writes it: ``repr``, which round-trips."""
+    return repr(float(x))
+
+
+def _write_table(path, header, rows):
+    """Write ``header`` and ``rows`` to the CSV file ``path``; lines end in ``\\r\\n``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -221,10 +229,8 @@ def _bicop_rep(config, seed):
     rng = np.random.default_rng(seed)
     Z = gen_covariates(config.N, config.p, config.rho, rng)
     eta = true_eta(Z)
-    family = CopulaFamily(config.family) if not config.family_draw else _draw_family(rng)
-    w1 = rng.random(config.N)
-    w2 = rng.random(config.N)
-    pairs = np.column_stack([w1, hinv(family, "2|1", w2, w1, link_tau(eta))])
+    family = _family(config.family) if not config.family_draw else _draw_family(rng)
+    pairs = sample_pair(family, link_tau(eta), config.N, rng)
     if config.mode == "specified":
         Z = Z[:, :6]
         fit, error = _attempt(bst.fit_family, pairs, Z, family, config.control, refit=False)
@@ -252,8 +258,9 @@ class BicopScenarioReport:
     failures: list
 
     def median_beta(self):
-        """The median coefficients over the repetitions that did not fail."""
-        return np.median(np.delete(self.beta_hat, [rep for rep, _ in self.failures], axis=0), axis=0)
+        """The median coefficients over the repetitions that ran (NaN when none did)."""
+        ran = np.delete(self.beta_hat, [rep for rep, _ in self.failures], axis=0)
+        return np.median(ran, axis=0) if len(ran) else np.full(6, np.nan)
 
     def exactly_informative_rate(self):
         """The share of the repetitions that ran which kept exactly the
@@ -264,15 +271,17 @@ class BicopScenarioReport:
         return float(np.mean((self.tp[ran] == len(INFORMATIVE)) & (self.fp[ran] == 0)))
 
     def write_csv(self, out_dir):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         reps = range(len(self.beta_hat))
-        _write_table(out_dir, "coefficients.csv", ["rep"] + [f"beta{j}" for j in range(6)],
-                     ([r] + [repr(float(v)) for v in row] for r, row in zip(reps, self.beta_hat)))
+        _write_table(out_dir / "coefficients.csv", ["rep"] + [f"beta{j}" for j in range(6)],
+                     ([r] + [_fmt(v) for v in row] for r, row in zip(reps, self.beta_hat)))
         counts = (self.kept_sizes, self.tp, self.fp, self.m_opt)
-        _write_table(out_dir, "selection.csv", ["rep", "kept", "tp", "fp", "m_opt"],
+        _write_table(out_dir / "selection.csv", ["rep", "kept", "tp", "fp", "m_opt"],
                      ([r] + [_count(a[r]) for a in counts] for r in reps))
-        _write_table(out_dir, "families.csv", ["rep", "true_family", "selected_family"],
+        _write_table(out_dir / "families.csv", ["rep", "true_family", "selected_family"],
                      zip(reps, self.true_family, self.selected_family))
-        _write_table(out_dir, "mae.csv", ["rep", "mae_tau"], ((r, repr(float(v))) for r, v in zip(reps, self.mae)))
+        _write_table(out_dir / "mae.csv", ["rep", "mae_tau"], ((r, _fmt(v)) for r, v in zip(reps, self.mae)))
 
 
 def run_bicop_scenario(config):
@@ -340,14 +349,16 @@ class VineScenarioReport:
         }
 
     def write_csv(self, out_dir):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         header = ["rep", "tree", "edge", "true_family", "selected_family", "kept", "tp", "fp", "mae_tau"]
         rows = (
             [self.rep[i], self.tree[i], self.edge_label[i], self.true_family[i], self.selected_family[i],
-             self.kept_sizes[i], self.tp[i], self.fp[i], repr(float(self.mae[i]))]
-            + [repr(float(v)) for v in self.beta_hat[i]]
+             self.kept_sizes[i], self.tp[i], self.fp[i], _fmt(self.mae[i])]
+            + [_fmt(v) for v in self.beta_hat[i]]
             for i in range(len(self.rep))
         )
-        _write_table(out_dir, "edges.csv", header + [f"beta{j}" for j in range(6)], rows)
+        _write_table(out_dir / "edges.csv", header + [f"beta{j}" for j in range(6)], rows)
 
 
 def _vine_rep(config, seed):
@@ -359,7 +370,7 @@ def _vine_rep(config, seed):
     rng = np.random.default_rng(seed)
     Z = gen_covariates(config.N, config.p, config.rho, rng)
     eta = true_eta(Z)
-    family_of = {e: CopulaFamily(config.family) if not config.family_draw else _draw_family(rng) for e in edges}
+    family_of = {e: _family(config.family) if not config.family_draw else _draw_family(rng) for e in edges}
     betas = [np.concatenate([TRUE_BETA, np.zeros(Z.shape[1] - 6)])] * len(edges)
     truth = ConditionalVineModel.from_coefficients(structure, list(family_of.values()), betas)
     U = truth.sample(Z, seed=rng.integers(2**63))

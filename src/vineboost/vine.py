@@ -21,7 +21,7 @@ import numpy as np
 from . import boosting as bst
 from .boosting import BoostControl, FittedPairCopula, predict_tau
 from .errors import ConfigurationError, InterfaceError, StructureError
-from .families import CopulaFamily, _require_finite, hfunc, hinv, log_density, tau_to_theta, U_EPS
+from .families import CopulaFamily, _clamp_u, _family, _require_finite, hfunc, hinv, log_density, tau_to_theta
 
 __all__ = [
     "VineEdge",
@@ -199,27 +199,22 @@ def validate_structure(structure):
     if not _is_tree({v: v for v in range(d)}, [(e.a, e.b) for e in trees[0]]):
         violations.append("tree 1 is not a spanning tree on the variables")
 
+    # the parents of (a, b | D) are the tree-t edges on D + {a} and D + {b}
     for t in range(1, d - 1):
-        prev = {e.union: e for e in trees[t - 1]}
+        prev = {e.union for e in trees[t - 1]}
         links = []
-        for e in trees[t + 1 - 1]:
-            parents = [p for p in prev.values() if p.union <= e.union]
-            pair = None
-            for i in range(len(parents)):
-                for j in range(i + 1, len(parents)):
-                    p, q = parents[i], parents[j]
-                    if p.union | q.union == e.union and p.union & q.union == frozenset(e.cond):
-                        pair = (p, q)
-            if pair is None:
+        for e in trees[t]:
+            pair = (e.union - {e.b}, e.union - {e.a})
+            if not (pair[0] in prev and pair[1] in prev):
                 violations.append(
                     f"tree {t + 1} edge {e.label()} cannot be formed from two tree-{t} edges "
                     "sharing a node (proximity violation)"
                 )
                 continue
-            links.append((pair[0].union, pair[1].union))
+            links.append(pair)
         if violations:
             return violations
-        if not _is_tree({e.union: e.union for e in trees[t - 1]}, links):
+        if not _is_tree(prev, links):
             violations.append(f"tree {t + 1} is not a tree on the edges of tree {t}")
     return violations
 
@@ -263,13 +258,9 @@ def _require_valid(structure):
     return structure
 
 
-def _clamp_unit(x):
-    return np.clip(x, U_EPS, 1.0 - U_EPS)
-
-
 def _columns(U):
     """The columns of U by variable, clamped into [U_EPS, 1 - U_EPS]."""
-    return {v: _clamp_unit(U[:, v]) for v in range(U.shape[1])}
+    return {v: _clamp_u(U[:, v]) for v in range(U.shape[1])}
 
 
 def _check_level(level, d, error=ConfigurationError):
@@ -314,7 +305,7 @@ def _fitted_h(fit_of, Z):
 
     def h(e, which, ua, ub):
         fit = fit_of[e]
-        return _clamp_unit(hfunc(fit.family, which, ua, ub, predict_tau(fit, Z)))
+        return _clamp_u(hfunc(fit.family, which, ua, ub, predict_tau(fit, Z)))
 
     return h
 
@@ -419,7 +410,7 @@ class ConditionalVineModel:
             while cond:
                 chain.append(self._index[(x, cond)])
                 cond = chain[-1].cond
-            q = _clamp_unit(W[:, k])
+            q = _clamp_u(W[:, k])
             for e in chain:
                 fit = self._by_edge[e]
                 arg = F(e.b if x == e.a else e.a, e.cond)
@@ -506,7 +497,7 @@ class ConditionalVineModel:
             for e in tree:
                 rec, at = records[e], f"model edge {e.label()}"
                 fits.append(FittedPairCopula(
-                    family=_field(rec, "family", CopulaFamily, at),
+                    family=_field(rec, "family", _family, at),
                     beta=_field(rec, "beta", _finite_vector, at),
                     m_opt=_field(rec, "m_opt", int, at),
                     aic=_field(rec, "aic", float, at),
@@ -559,7 +550,7 @@ def _edge_candidates(structure, levels, families, edge_families, deselect, crite
             raise ConfigurationError("deselect=False requires edge_families")
         if families is None:
             raise ConfigurationError("families is required without edge_families")
-        candidates = tuple(_family(f) for f in bst._candidates(families, criterion))
+        candidates = tuple(bst._candidates(families, criterion))
         return [[candidates] * len(tree) for tree in structure.trees[:levels]]
     if deselect:
         bst._check_criterion(criterion)
@@ -572,13 +563,6 @@ def _edge_candidates(structure, levels, families, edge_families, deselect, crite
             raise ConfigurationError(f"edge_families tree {t} has {len(pinned)} families for {len(tree)} edges")
         out.append([(_family(f),) for f in pinned])
     return out
-
-
-def _family(value):
-    try:
-        return CopulaFamily(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"unknown copula family {value!r}") from None
 
 
 def fit_vine(
@@ -727,9 +711,7 @@ def select_structure(U):
     values, index, tau_hat, cache = _columns(U), {}, {}, {}
 
     def gauss_h(e, which, ua, ub):
-        theta = float(np.clip(tau_to_theta(CopulaFamily.GAUSSIAN, tau_hat[e]), -0.999, 0.999))
-        t = 2.0 / np.pi * np.arcsin(theta)
-        return _clamp_unit(hfunc(CopulaFamily.GAUSSIAN, which, ua, ub, t))
+        return _clamp_u(hfunc(CopulaFamily.GAUSSIAN, which, ua, ub, tau_hat[e]))
 
     # tree t + 1 joins two edges of tree t, given by their unions, whose
     # unions share t variables; tree 1 joins single variables
@@ -749,7 +731,9 @@ def select_structure(U):
         tree = []
         for payload in _kruskal_max(nodes, candidates):
             tree.append(payload["edge"])
-            tau_hat[payload["edge"]] = float(payload["tau"])
+            # τ̂ of the Gaussian whose θ is capped at ±0.999
+            theta = float(np.clip(tau_to_theta(CopulaFamily.GAUSSIAN, float(payload["tau"])), -0.999, 0.999))
+            tau_hat[payload["edge"]] = 2.0 / np.pi * np.arcsin(theta)
         index.update(_edge_index([tree]))
         trees.append(tree)
         nodes = [e.union for e in tree]

@@ -708,6 +708,17 @@ class TestFitPair:
         with pytest.raises(ConfigurationError):
             B.fit_pair(np.full((20, 2), 0.5), np.ones((20, 1)), [], BoostControl())
 
+    def test_family_names_give_family_values(self):
+        pairs, Z = simulate_pair_data(CopulaFamily.GUMBEL_I, 300, 6, 0.2, seed=22)
+        control = BoostControl(m_stop=40)
+        by_name = B.fit_pair(pairs, Z, ["gaussian", "gumbelI"], control)
+        by_value = B.fit_pair(pairs, Z, [CopulaFamily.GAUSSIAN, CopulaFamily.GUMBEL_I], control)
+        assert type(by_name.family) is CopulaFamily and by_name.family == by_value.family
+        assert by_name.selection_scores == by_value.selection_scores
+        np.testing.assert_array_equal(by_name.beta, by_value.beta)
+        fit = B.fit_family(pairs, Z, "claytonII", control)
+        assert type(fit.family) is CopulaFamily and fit.risk_path.family is CopulaFamily.CLAYTON_II
+
     @pytest.mark.parametrize("stopping", ["aic", "cv"])
     @pytest.mark.parametrize("dependent", [True, False])
     def test_fit_family_refit_switch(self, stopping, dependent):

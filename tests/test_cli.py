@@ -6,6 +6,7 @@ import pytest
 
 from vineboost.cli import main
 from vineboost.families import CopulaFamily, sample_pair
+from vineboost.scoring import energy_score, variogram_score
 from vineboost.vine import ConditionalVineModel, VineStructure, dvine_structure, validate_structure
 
 
@@ -100,10 +101,12 @@ class TestFit:
         assert run(["fit", "--data", bad, "--out-model", tmp_path / "m.json",
                     "--out-report", tmp_path / "r.csv"]) == 2
 
-    def test_unknown_family_exits_2(self, tmp_path, gaussian_pair_files):
+    def test_unknown_family_exits_2(self, tmp_path, caplog, gaussian_pair_files):
         u_path, _ = gaussian_pair_files
-        assert run(["fit", "--data", u_path, "--families", "studentt",
+        assert run(["fit", "--data", u_path, "--families", "gaussian,frank",
                     "--out-model", tmp_path / "m.json", "--out-report", tmp_path / "r.csv"]) == 2
+        assert caplog.messages[-1] == ("unknown copula family 'frank'; known: gaussian, claytonI, claytonII, "
+                                       "gumbelI, gumbelII, independence")
 
     def test_structure_violation_exits_2(self, tmp_path, gaussian_pair_files):
         u_path, _ = gaussian_pair_files
@@ -299,13 +302,78 @@ class TestSimulate:
         ("control", [1]), ("control", {"m_stop": 60.5}), ("control", {"m_stop": True}),
         ("control", {"m_stop": 60, "stopping": "cv", "cv_folds": 2.5}), ("family_draw", "yes"),
         ("count_intercept_tp", True), ("control", {"m_stop": 60, "protect_intercept": True}),
-        ("seed", -1), ("control", {"m_stop": 60, "seed": -1}),
+        ("seed", -1), ("control", {"m_stop": 60, "seed": -1}), ("N", -1), ("N", 0),
+        ("control", {"m_stop": 60, "stopping": "cv", "cv_folds": 31}),
     ])
     def test_malformed_field_exits_2_before_any_output(self, tmp_path, caplog, field, value):
         path = self.scenario(tmp_path, **{field: value})
         assert run(["simulate", "--scenario", path, "--out-dir", tmp_path / "o"]) == 2
         assert caplog.messages[-1].startswith(f"{path}: ")
         assert not (tmp_path / "o").exists()
+
+
+def table_text(header, rows):
+    """An output table as the commands write it: comma-separated fields, a
+    field holding a comma in double quotes, every line ending in \\r\\n."""
+    def field(x):
+        x = str(x)
+        return f'"{x}"' if "," in x else x
+    return "".join(",".join(field(x) for x in row) + "\r\n" for row in [header, *rows])
+
+
+class TestOutputFormat:
+    """Each output table is its header and rows, floats as ``repr(float(x))``."""
+
+    def test_fit_report(self, tmp_path):
+        rng = np.random.default_rng(11)
+        write_csv(tmp_path / "u.csv", ["u1", "u2", "u3"],
+                  [[repr(float(v)) for v in row] for row in rng.uniform(0.05, 0.95, (120, 3))])
+        (tmp_path / "st.json").write_text(GOOD_STRUCTURE)
+        write_csv(tmp_path / "z.csv", ["z1"], [[repr(float(v))] for v in rng.standard_normal(120)])
+        report = tmp_path / "r.csv"
+        assert run(["fit", "--data", tmp_path / "u.csv", "--covariates", tmp_path / "z.csv",
+                    "--structure", tmp_path / "st.json", "--families", "gaussian,claytonI", "--m-stop", 30,
+                    "--out-model", tmp_path / "m.json", "--out-report", report]) == 0
+        model = ConditionalVineModel.from_json(str(tmp_path / "m.json"))
+        names = model.covariate_names
+        rows = [
+            [t, e.label(), fit.family.value, fit.m_opt, repr(float(fit.aic)), repr(float(fit.loglik)),
+             "|".join(str(j) for j in fit.kept),
+             "|".join(f"{names[j]}={repr(float(fit.beta[j]))}" for j in np.flatnonzero(fit.beta))]
+            for t, (tree, fits) in enumerate(zip(model.structure.trees, model.models), start=1)
+            for e, fit in zip(tree, fits)
+        ]
+        header = ["tree", "edge", "family", "m_opt", "aic", "loglik", "kept", "coefficients"]
+        assert report.read_bytes() == table_text(header, rows).encode()
+
+    def test_sample_file(self, tmp_path):
+        (tmp_path / "m.json").write_text(model_json())
+        z1 = [0.1, -0.4, 1.2]
+        write_csv(tmp_path / "z.csv", ["z1"], [[repr(v)] for v in z1])
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--model", tmp_path / "m.json", "--covariates", tmp_path / "z.csv",
+                    "--per-row", 3, "--seed", 4, "--out", out]) == 0
+        model = ConditionalVineModel.from_json(model_json())
+        U = model.sample(np.repeat(np.column_stack([np.ones(3), z1]), 3, axis=0), seed=4)
+        rows = [[i // 3] + [repr(float(v)) for v in U[i]] for i in range(len(U))]
+        assert out.read_bytes() == table_text(["row", "u1", "u2", "u3"], rows).encode()
+
+    def test_score_table(self, tmp_path):
+        rng = np.random.default_rng(12)
+        members = {(t, m): rng.standard_normal((4, 2)) for t in ("0", "1") for m in ("a", "b")}
+        obs = {t: rng.standard_normal(2) for t in ("0", "1")}
+        write_csv(tmp_path / "fc.csv", ["time", "method", "member", "y1", "y2"],
+                  [[t, m, k] + [repr(float(v)) for v in x[k]] for (t, m), x in members.items() for k in range(4)])
+        write_csv(tmp_path / "obs.csv", ["time", "y1", "y2"],
+                  [[t] + [repr(float(v)) for v in y] for t, y in obs.items()])
+        out, dm = tmp_path / "s.csv", tmp_path / "dm.csv"
+        assert run(["score", "--forecasts", tmp_path / "fc.csv", "--observations", tmp_path / "obs.csv",
+                    "--scores", "es,vs", "--out-scores", out, "--out-dm", dm]) == 0
+        rows = [[t, m, repr(float(energy_score(x, obs[t], "pairwise"))),
+                 repr(float(variogram_score(x, obs[t], order=0.5)))] for (t, m), x in members.items()]
+        assert out.read_bytes() == table_text(["time", "method", "es", "vs"], rows).encode()
+        header = ["score", "method_a", "method_b", "statistic", "p_value", "lag", "degenerate"]
+        assert dm.read_bytes() == table_text(header, []).encode()
 
 
 class TestManifest:

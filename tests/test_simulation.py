@@ -1,5 +1,6 @@
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,9 @@ class TestScenarioConfig:
         ({"bogus": 1}, "scenario: unknown key 'bogus'"),
         ({"control": {"m_stop": 5, "bogus": 1}}, "scenario control: unknown key 'bogus'"),
         ({"rho": "0.2"}, "rho must be a real number, got '0.2'"),
+        ({"N": -1}, "N must be >= 1"),
+        ({"N": 0}, "N must be >= 1"),
+        ({"N": 50, "control": {"stopping": "cv"}}, "each CV fold needs at least 10 observations (50 rows, 10 folds)"),
     ])
     def test_malformed_document(self, obj, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -210,6 +214,20 @@ class TestBicopScenario:
         selection = (tmp_path / "selection.csv").read_text().splitlines()
         assert selection[1] == "0,nan,nan,nan,nan"
         assert selection[2] == "1," + ",".join(str(int(a[1])) for a in counts)
+
+    def test_every_repetition_failing_is_quiet(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("forced failure")
+
+        monkeypatch.setattr(simulation.bst, "fit_pair", failing)
+        cfg = ScenarioConfig(N=100, p=8, rho=0.2, n_reps=2, family="gaussian",
+                             control=quick_control(20), seed=18)
+        rep = run_bicop_scenario(cfg)
+        assert [r for r, _ in rep.failures] == [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isnan(rep.median_beta())) and rep.median_beta().shape == (6,)
+            assert np.isnan(rep.exactly_informative_rate())
 
     def test_csv_writer(self, tmp_path):
         cfg = ScenarioConfig(N=300, p=8, rho=0.2, n_reps=2, family="gaussian",

@@ -109,7 +109,8 @@ class TestFitVine:
     @pytest.mark.parametrize("kwargs, message", [
         ({"edge_families": "short"}, "edge_families tree 2 has 2 families for 3 edges"),
         ({"edge_families": "few trees"}, "edge_families has 3 trees, 4 are fitted"),
-        ({"edge_families": "unknown"}, "unknown copula family 'frank'"),
+        ({"edge_families": "unknown"},
+         "unknown copula family 'frank'; known: gaussian, claytonI, claytonII, gumbelI, gumbelII, independence"),
         ({"families": None}, "families is required without edge_families"),
         ({"families": []}, "families must be non-empty"),
         ({"deselect": False}, "deselect=False requires edge_families"),
@@ -129,6 +130,17 @@ class TestFitVine:
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             fit_vine(rng.random((100, 5)), np.ones((100, 1)), structure, control=BoostControl(m_stop=10), **args)
         assert prepared == []
+
+    def test_unknown_family_is_one_error_everywhere(self):
+        rng = np.random.default_rng(9)
+        U, Z = rng.random((100, 3)), np.ones((100, 1))
+        message = ("unknown copula family 'frank'; known: gaussian, claytonI, claytonII, gumbelI, gumbelII, "
+                   "independence")
+        for fit in (lambda: fit_pair(U[:, :2], Z, [CopulaFamily.GAUSSIAN, "frank"]),
+                    lambda: fit_family(U[:, :2], Z, "frank", BoostControl()),
+                    lambda: fit_vine(U, Z, dvine_structure(range(3)), ["gaussian", "frank"])):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                fit()
 
     def test_covariate_names_must_match_Z_before_any_edge_is_fitted(self, monkeypatch):
         prepared = []
