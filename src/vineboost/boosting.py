@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, FitError, InterfaceError
-from .families import _BASE, CopulaFamily, _family, _require_finite, link_tau, log_density, prepare
+from .families import _BASE, CopulaFamily, _checked_array, _family, link_tau, log_density, prepare
 
 __all__ = [
     "BoostControl",
@@ -115,24 +115,17 @@ class BoostPath:
 
 
 def _checked_pairs(pairs):
-    """``pairs`` as a float array, checked for shape, rows and finiteness."""
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InterfaceError("pairs must be an (N, 2) array")
+    """``pairs`` as a checked (N, 2) float array with at least one row."""
+    pairs = _checked_array("pairs", pairs, cols=2)
     if len(pairs) == 0:
         raise InterfaceError("pairs must hold at least one row")
-    _require_finite("pairs", pairs)
     return pairs
 
 
 def _checked_data(pairs, Z):
-    """``pairs`` and ``Z`` as float arrays, checked for shape and finiteness."""
+    """``pairs`` and ``Z`` as checked float arrays with the same rows."""
     pairs = _checked_pairs(pairs)
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != pairs.shape[0]:
-        raise InterfaceError("Z must be an (N, p+1) array aligned with pairs")
-    _require_finite("Z", Z)
-    return pairs, Z
+    return pairs, _checked_array("Z", Z, rows=len(pairs))
 
 
 def _standardize(Z):
@@ -746,6 +739,8 @@ def _check_criterion(criterion):
 
 def _candidates(families, criterion):
     """The candidate families as :class:`CopulaFamily` values, checked with the criterion."""
+    if isinstance(families, str):  # one tag or CopulaFamily (a str too), not a list of them
+        raise ConfigurationError(f"families must be a list of families, got {str.__str__(families)!r}")
     families = [_family(f) for f in families]
     if not families:
         raise ConfigurationError("families must be non-empty")

@@ -29,11 +29,12 @@ from .errors import (
     FitError,
     InterfaceError,
     StructureError,
+    VineBoostError,
 )
-from .families import _family
 from .scoring import dm_test, energy_score, variogram_score
 from .simulation import ScenarioConfig, _fmt, _write_table, run_scenario
-from .vine import ConditionalVineModel, VineStructure, _from_file, _require_valid, fit_vine, select_structure
+from .vine import (ConditionalVineModel, VineStructure, _from_file, _prefixed, _require_valid, fit_vine,
+                   select_structure)
 
 log = logging.getLogger("vineboost")
 
@@ -125,10 +126,8 @@ def write_manifest(path, command, config, seed, inputs, outputs):
 
 
 def parse_families(text):
-    out = [_family(name.strip()) for name in text.split(",") if name.strip()]
-    if not out:
-        raise ConfigurationError("no copula families given")
-    return out
+    """The tags of a comma-separated ``--families``; :func:`fit_vine` checks them."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def control_from_args(args):
@@ -150,12 +149,15 @@ def cmd_fit(args):
     _, U = read_csv_matrix(args.data)
     if np.any((U <= 0.0) | (U >= 1.0)):
         raise InterfaceError(f"{args.data}: copula data must lie strictly inside (0, 1)")
-    names, Z = load_covariates(args.covariates, len(U))
     if args.structure == "auto":
-        structure = select_structure(U)
+        try:
+            structure = select_structure(U)
+        except VineBoostError as exc:
+            raise _prefixed(exc, args.data)
         log.info("selected structure: %s", [[e.label() for e in t] for t in structure.trees])
     else:
         structure = _from_file(args.structure, lambda obj: _require_valid(VineStructure.from_dict(obj)))
+    names, Z = load_covariates(args.covariates, len(U))
     families = parse_families(args.families)
     control = control_from_args(args)
     model = fit_vine(

@@ -140,13 +140,20 @@ def _check_tau(tau):
     return tau
 
 
-def _require_finite(name, x):
-    """Raise :class:`InterfaceError` at the first non-finite entry of a 2-D input."""
+def _checked_array(name, x, cols=None, rows=None):
+    """``x`` as a 2-D float array with ``cols`` columns and ``rows`` rows
+    (None: any).  A wrong shape or a non-finite entry raises
+    :class:`InterfaceError` naming the array and its shape, or the row and
+    column of the first non-finite entry."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or cols not in (None, x.shape[1]) or rows not in (None, x.shape[0]):
+        want = f"({'N' if rows is None else rows}, {'p' if cols is None else cols})"
+        raise InterfaceError(f"{name} must be an {want} array, got shape {x.shape}")
     finite = np.isfinite(x)
     if not finite.all():
         i, j = np.unravel_index(np.argmin(finite), x.shape)
         raise InterfaceError(f"{name} row {i}, column {j} is not finite ({x[i, j]})")
+    return x
 
 
 def _check_finite(name, out, where_args=()):
@@ -791,7 +798,7 @@ def prepare(family, u1, u2):
     column, or two (K, N) arrays with one row per CV fold or vine edge.
     Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.
     """
-    _require_finite("pairs", np.column_stack([u1, u2]))
+    _checked_array("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError, InterfaceError
+from .families import _checked_array
 
 __all__ = [
     "energy_score",
@@ -162,10 +163,8 @@ def ecc_reorder(samples, raw, seed):
     receives the value whose rank equals raw member k's rank (ties in the
     raw ensemble are resolved at random, seeded).
     """
-    x = np.asarray(samples, dtype=float)
-    r = np.asarray(raw, dtype=float)
-    if x.shape != r.shape or x.ndim != 2:
-        raise InterfaceError("samples and raw ensemble must share an (m, d) shape")
+    x = _checked_array("samples", samples)
+    r = _checked_array("raw", raw, cols=x.shape[1], rows=len(x))
     rng = np.random.default_rng(seed)
     out = np.empty_like(x)
     for j in range(x.shape[1]):
@@ -190,9 +189,9 @@ def gca_fit(latent):
     possible on short records) triggers a nearest-positive-definite repair
     with a warning; singular-but-PSD matrices pass through unchanged.
     """
-    y = np.asarray(latent, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 2:
-        raise InterfaceError("latent scores must be an (N, d) array with N >= 2")
+    y = _checked_array("latent", latent)
+    if len(y) < 2:
+        raise InterfaceError(f"latent must be an (N, d) array with N >= 2, got shape {y.shape}")
     corr = np.atleast_2d(np.corrcoef(y, rowvar=False))
     if np.linalg.eigvalsh(corr)[0] < -1e-10:
         warnings.warn("empirical correlation matrix is not positive semi-definite; repairing")

@@ -21,7 +21,8 @@ import numpy as np
 from . import boosting as bst
 from .boosting import BoostControl, FittedPairCopula, predict_tau
 from .errors import ConfigurationError, InterfaceError, StructureError
-from .families import CopulaFamily, _clamp_u, _family, _require_finite, hfunc, hinv, log_density, tau_to_theta
+from .families import (CopulaFamily, _checked_array, _clamp_u, _family, hfunc, hinv, log_density, tau_to_theta,
+                       theta_to_tau)
 
 __all__ = [
     "VineEdge",
@@ -132,6 +133,12 @@ def _tree_records(obj, where):
     return _field(obj, "d", int, where), trees, records
 
 
+def _prefixed(exc, head):
+    """``exc``, to be raised again, with ``head`` before its message."""
+    exc.args = ((f"{head}: {exc.args[0]}",) + exc.args[1:]) if exc.args else (head,)
+    return exc
+
+
 def _from_file(path, from_dict):
     """``from_dict`` of the JSON document in the file ``path``.  Invalid
     JSON and a malformed document raise with the path before the message."""
@@ -139,8 +146,7 @@ def _from_file(path, from_dict):
         with open(path, "r", encoding="utf-8") as fh:
             return from_dict(json.load(fh))
     except (json.JSONDecodeError, InterfaceError, StructureError, ConfigurationError) as exc:
-        exc.args = (f"{path}: {exc.args[0]}",) + exc.args[1:]
-        raise
+        raise _prefixed(exc, path)
 
 
 def _finite_vector(value):
@@ -347,23 +353,11 @@ class ConditionalVineModel:
         return self._by_edge[edge]
 
     def _check_Z(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != self.n_covariates:
-            raise InterfaceError(
-                f"covariate width {Z.shape[1]} does not match the model's {self.n_covariates}"
-            )
-        _require_finite("Z", Z)
-        return Z
+        return _checked_array("Z", Z, cols=self.n_covariates)
 
     def _check_UZ(self, U, Z, name="U"):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         Z = self._check_Z(Z)
-        if U.ndim != 2 or U.shape[1] != self.d:
-            raise InterfaceError(f"{name} width {U.shape[-1]} does not match dimension {self.d}")
-        if U.shape[0] != Z.shape[0]:
-            raise InterfaceError(f"{name} and Z must have the same number of rows")
-        _require_finite(name, U)
-        return U, Z
+        return _checked_array(name, U, cols=self.d, rows=len(Z)), Z
 
     def _cdf(self, values, Z):
         """``F(var, cond)`` of :func:`_cond_cdf` for this model at the rows of Z."""
@@ -597,14 +591,8 @@ def fit_vine(
     survives.
     """
     control = control or BoostControl()
-    U = np.asarray(U, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if U.ndim != 2 or U.shape[0] != Z.shape[0]:
-        raise InterfaceError("U and Z must be 2-d with matching row counts")
-    if U.shape[1] != structure.d:
-        raise InterfaceError(f"U has {U.shape[1]} columns, structure has d={structure.d}")
-    _require_finite("U", U)
-    _require_finite("Z", Z)
+    U = _checked_array("U", U, cols=structure.d)
+    Z = _checked_array("Z", Z, rows=len(U))
     _require_valid(structure)
     if covariate_names is None:
         covariate_names = tuple(f"z{j}" for j in range(Z.shape[1]))
@@ -644,9 +632,7 @@ def fit_vine(
             outcome.update(zip(edges, fits))
         for e in tree:
             if isinstance(outcome[e], Exception):
-                exc, head = outcome[e], f"edge {e.label()}"
-                exc.args = ((f"{head}: {exc.args[0]}",) + exc.args[1:]) if exc.args else (head,)
-                raise exc
+                raise _prefixed(outcome[e], f"edge {e.label()}")
             fit_of[e] = outcome[e]
         models.append([fit_of[e] for e in tree])
 
@@ -695,17 +681,21 @@ def select_structure(U):
     Covariates are ignored at this stage: edge weights in higher trees use
     pseudo-observations from provisional unconditional Gaussian fits whose
     parameter is the tau inversion of the lower-tree pair.  The result
-    always satisfies the regular-vine conditions.
+    always satisfies the regular-vine conditions.  A constant column of U,
+    whose tau is undefined, raises :class:`InterfaceError`.
     """
     # Imported here: scipy.stats costs most of the package's import time.
     from scipy.stats import kendalltau
 
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[1] < 2:
-        raise InterfaceError("U must be an (N, d) array with d >= 2")
+    U = _checked_array("U", U)
     n, d = U.shape
+    if d < 2:
+        raise InterfaceError(f"U must be an (N, d) array with d >= 2, got shape {U.shape}")
     if n < 30:
         raise ConfigurationError("structure selection needs at least 30 observations")
+    constant = np.flatnonzero(np.all(U == U[0], axis=0))
+    if len(constant):
+        raise InterfaceError(f"U column {constant[0]} is constant: its Kendall's tau is undefined")
 
     # the recursion of the model, with a Gaussian h at the τ̂ of each chosen edge
     values, index, tau_hat, cache = _columns(U), {}, {}, {}
@@ -733,7 +723,7 @@ def select_structure(U):
             tree.append(payload["edge"])
             # τ̂ of the Gaussian whose θ is capped at ±0.999
             theta = float(np.clip(tau_to_theta(CopulaFamily.GAUSSIAN, float(payload["tau"])), -0.999, 0.999))
-            tau_hat[payload["edge"]] = 2.0 / np.pi * np.arcsin(theta)
+            tau_hat[payload["edge"]] = theta_to_tau(CopulaFamily.GAUSSIAN, theta)
         index.update(_edge_index([tree]))
         trees.append(tree)
         nodes = [e.union for e in tree]

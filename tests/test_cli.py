@@ -458,6 +458,11 @@ MALFORMED = [
     ("sample", "model", model_json(lambda trees: trees[1][0].update(conditioning=[0])),
      ": model tree 2 edge 1: conditioned variables cannot appear in the conditioning set"),
     ("sample", "model", model_json()[:-1], ": Expecting ',' delimiter"),
+    ("fit --structure auto", "data", "u1,u2,u3\n" + "".join(f"0.{k + 10},0.5,0.{89 - k}\n" for k in range(30)),
+     ": U column 1 is constant: its Kendall's tau is undefined"),
+    ("fit --structure auto", "data", "u1,u2,u3\n0.2,0.3,0.4\n",
+     ": structure selection needs at least 30 observations"),
+    ("fit", "--families", " , ", "families must be non-empty"),
 ]
 
 
@@ -472,13 +477,16 @@ MALFORMED = [
          "fit-cv-folds-too-small", "fit-negative-seed", "sample-negative-seed",
          "structure-edge-to-itself", "structure-conditioned-in-conditioning", "structure-missing-d",
          "structure-not-a-vine",
-         "structure-invalid-json", "model-conditioned-in-conditioning", "model-invalid-json"],
+         "structure-invalid-json", "model-conditioned-in-conditioning", "model-invalid-json",
+         "auto-structure-constant-column", "auto-structure-one-row", "fit-no-families"],
 )
 def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, target, contents, where):
     files = {"data": GOOD_DATA, "covariates": GOOD_COVARIATES, "structure": GOOD_STRUCTURE,
              "forecasts": GOOD_FORECASTS, "observations": GOOD_OBSERVATIONS, "model": model_json()}
-    flags = [target, contents] if target.startswith("--") else []
-    if not flags:
+    command, *flags = command.split()  # a command may carry flags of its own
+    if target.startswith("--"):
+        flags += [target, contents]
+    else:
         files[target] = contents
     paths = {}
     for name, text in files.items():
@@ -498,5 +506,5 @@ def test_malformed_input_exits_2_with_file_and_line(tmp_path, caplog, command, t
         args = ["score", "--forecasts", paths["forecasts"], "--observations", paths["observations"],
                 "--out-scores", outputs[0], "--out-dm", outputs[1]]
     assert run(args) == 2
-    assert (where if flags else f"{paths[target]}{where}") in caplog.text
+    assert (where if target.startswith("--") else f"{paths[target]}{where}") in caplog.text
     assert not any(path.exists() for path in outputs)
