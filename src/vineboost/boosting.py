@@ -128,23 +128,6 @@ def _checked_data(pairs, Z):
     return pairs, _checked_array("Z", Z, rows=len(pairs))
 
 
-def _standardize(Z):
-    Z = np.asarray(Z, dtype=float)
-    n, p = Z.shape
-    has_intercept = bool(np.all(Z[:, 0] == 1.0))
-    mu = Z.mean(axis=0)
-    sigma = Z.std(axis=0)
-    if has_intercept:
-        mu[0] = 0.0
-        sigma[0] = 1.0
-    degenerate = sigma < _DEGENERATE_TOL
-    sigma_safe = np.where(degenerate, 1.0, sigma)
-    Zs = (Z - mu) / sigma_safe
-    if has_intercept:
-        Zs[:, 0] = 1.0
-    return Zs, mu, np.where(degenerate, 1.0, sigma_safe), has_intercept, degenerate
-
-
 _CANDIDATE_ERRORS = (EvaluationError, FloatingPointError, ConfigurationError)
 
 # From this design size up, a stack holding several families scans the
@@ -181,11 +164,25 @@ class _Design:
         return self if self.Zs.ndim == 2 else _Design(*(getattr(self, f.name)[e] for f in fields(self)))
 
 
-def _design(Z):
-    Zs, mu, sigma, has_intercept, degenerate = _standardize(Z)
-    colsq = np.einsum("ij,ij->j", Zs, Zs)
+def _design(Z, n_train=None):
+    """The standardized design of Z: the mean and scale of its first
+    ``n_train`` rows (all by default), applied to every row.  A column of
+    ones is the intercept and stays one; a zero-variance column is flagged
+    degenerate and only centred."""
+    Z = np.asarray(Z, dtype=float)
+    t = len(Z) if n_train is None else int(n_train)
+    has_intercept = bool(np.all(Z[:t, 0] == 1.0))
+    mu = Z[:t].mean(axis=0)
+    sigma = Z[:t].std(axis=0)
+    if has_intercept:
+        mu[0] = 0.0
+        sigma[0] = 1.0
+    degenerate = sigma < _DEGENERATE_TOL
+    sigma = np.where(degenerate, 1.0, sigma)
+    Zs = (Z - mu) / sigma
+    colsq = np.einsum("ij,ij->j", Zs[:t], Zs[:t])
     colsq_safe = np.where(colsq < _DEGENERATE_TOL, 1.0, colsq)
-    return _Design(Zs, mu, sigma, has_intercept, degenerate, colsq_safe, len(Zs))
+    return _Design(Zs, mu, sigma, has_intercept, degenerate, colsq_safe, t)
 
 
 class _Stack:
@@ -493,10 +490,10 @@ def _cv_paths(pairs, Z, family, control):
     """Per-fold selections and held-out risks of seeded K-fold CV.
 
     Fold k's rows sit in the order "training rows, then held-out rows" in
-    row k of a (K, N) index.  Its training rows are standardized as
-    :func:`boost` does and its held-out rows with the same mean and scale,
-    in row k of one (K, N, p+1) design, and the K folds are boosted as the
-    rows of one :func:`_boost_paths` stack.  Returns ``selected``
+    row k of a (K, N) index.  All its rows are standardized with the mean
+    and scale of its training rows (:func:`_design`), in row k of one
+    (K, N, p+1) design, and the K folds are boosted as the rows of one
+    :func:`_boost_paths` stack.  Returns ``selected``
     (K, m_stop) and the held-out risk (K, m_stop + 1), or raises the error
     of the first fold that failed.
     """
@@ -512,11 +509,10 @@ def _cv_paths(pairs, Z, family, control):
     Zs = np.empty((k, n, p1))
     stats = []
     for i, t in enumerate(n_train):
-        train = _design(Z[order[i, :t]])
-        Zs[i, :t] = train.Zs
-        Zs[i, t:] = (Z[order[i, t:]] - train.mu) / train.sigma
-        stats.append((train.mu, train.sigma, train.has_intercept, train.degenerate, train.colsq_safe))
-    del train  # a fold's standardized rows, already copied into Zs
+        fold = _design(Z[order[i]], t)
+        Zs[i] = fold.Zs
+        stats.append((fold.mu, fold.sigma, fold.has_intercept, fold.degenerate, fold.colsq_safe))
+    del fold  # a fold's standardized rows, already copied into Zs
     design = _Design(Zs, *map(np.array, zip(*stats)), n_train)
     kernel = prepare(family, pairs[order, 0], pairs[order, 1])
     paths = _boost_paths({family: kernel}, design, control.nu, {family: [control.m_stop] * k})[family]
@@ -592,7 +588,7 @@ class FittedPairCopula:
         """Wrap given coefficients as a (synthetic) fitted copula."""
         beta = np.asarray(beta, dtype=float)
         return cls(
-            family=family,
+            family=_family(family),
             beta=beta,
             m_opt=0,
             aic=0.0,
@@ -654,11 +650,11 @@ def _fitted(path, m_opt, survivors, refit_path):
     )
 
 
-def _fit_edges(pairs, Z, design, families, control, refit=True):
+def _fit_edges(pairs, Z, families, control, refit=True):
     """Fit every family on each edge of a stack of checked copula data.
 
     ``pairs`` is (E, N, 2), one vine edge per row, all on the covariates
-    ``Z`` whose standardized design is ``design``.  The main paths of every
+    ``Z`` and their one standardized design.  The main paths of every
     edge and family run through one :func:`_boost_paths` call.  Each edge
     then stops and, with ``refit``, is deselected on its own; the refits of
     every family and edge run in one more call, each on its own survivor
@@ -671,6 +667,7 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
     n_edges = len(pairs)
     if control.stopping == "cv":
         _check_fold_rows(pairs.shape[1], control.cv_folds)
+    design = _design(Z)
     kernels = {family: prepare(family, pairs[..., 0], pairs[..., 1]) for family in families}
     results = _boost_paths(kernels, design, control.nu, {family: [control.m_stop] * n_edges for family in kernels})
     stops = {}
@@ -709,13 +706,6 @@ def _fit_edges(pairs, Z, design, families, control, refit=True):
     return results
 
 
-def _fit_families(pairs, Z, families, control, refit=True):
-    """:func:`_fit_edges` on the one edge of checked (N, 2) ``pairs``:
-    family -> its :class:`FittedPairCopula` or the error that stopped it."""
-    results = _fit_edges(pairs[None], Z, _design(Z), families, control, refit)
-    return {family: fits[0] for family, fits in results.items()}
-
-
 def fit_family(pairs, Z, family, control, refit=True):
     """Boost one family (a :class:`CopulaFamily` or its tag) and stop early by AIC or CV.
 
@@ -726,7 +716,8 @@ def fit_family(pairs, Z, family, control, refit=True):
     returned and ``survivors`` and ``refit_path`` stay ``None``.
     """
     pairs, Z = _checked_data(pairs, Z)
-    (fit,) = _fit_families(pairs, Z, [_family(family)], control, refit).values()
+    family = _family(family)
+    (fit,) = _fit_edges(pairs[None], Z, [family], control, refit)[family]
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -763,7 +754,7 @@ def _fit_pairs(pairs, Z, families, control, criterion):
         split = int(round(0.75 * n))
         if split < 1 or split >= n:
             raise ConfigurationError("too few rows for a 25% holdout")
-    results = _fit_edges(pairs[:, :split], Z[:split], _design(Z[:split]), families, control)
+    results = _fit_edges(pairs[:, :split], Z[:split], families, control)
 
     winners, refit = [], {}
     for e in range(len(pairs)):
@@ -792,7 +783,7 @@ def _fit_pairs(pairs, Z, families, control, criterion):
     # "predictive_risk" refits each winner on all rows, the edges won by
     # one family together
     for family, edges in refit.items():
-        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, _design(Z), [family], control)[family]):
+        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, [family], control)[family]):
             if not isinstance(fit, Exception):
                 fit.selection_scores = winners[e].selection_scores
             winners[e] = fit

@@ -144,8 +144,12 @@ def _checked_array(name, x, cols=None, rows=None):
     """``x`` as a 2-D float array with ``cols`` columns and ``rows`` rows
     (None: any).  A wrong shape or a non-finite entry raises
     :class:`InterfaceError` naming the array and its shape, or the row and
-    column of the first non-finite entry."""
-    x = np.asarray(x, dtype=float)
+    column of the first non-finite entry, and so does an ``x`` that is not
+    a rectangular array of numbers."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InterfaceError(f"{name} must be a rectangular array of numbers") from None
     if x.ndim != 2 or cols not in (None, x.shape[1]) or rows not in (None, x.shape[0]):
         want = f"({'N' if rows is None else rows}, {'p' if cols is None else cols})"
         raise InterfaceError(f"{name} must be an {want} array, got shape {x.shape}")
@@ -796,8 +800,11 @@ def prepare(family, u1, u2):
     ``u1`` and ``u2`` are the two columns of an (N, 2) pairs array, whose
     non-finite entries raise :class:`InterfaceError` naming their row and
     column, or two (K, N) arrays with one row per CV fold or vine edge.
-    Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.
+    Values are clamped into [U_EPS, 1 - U_EPS] as everywhere else.  Columns
+    of two shapes raise :class:`InterfaceError`.
     """
+    if np.shape(u1) != np.shape(u2):
+        raise InterfaceError(f"u1 and u2 must have one shape, got {np.shape(u1)} and {np.shape(u2)}")
     _checked_array("pairs", np.column_stack([u1, u2]))
     u1 = _clamp_u(u1)
     u2 = _clamp_u(u2)

@@ -318,7 +318,12 @@ def _fitted_h(fit_of, Z):
 
 @dataclass
 class ConditionalVineModel:
-    """A vine structure plus one fitted pair copula per edge."""
+    """A vine structure plus one fitted pair copula per edge.
+
+    ``models`` gives the fits of the trees up to ``truncation_level`` (of all
+    trees without one) and may give those above it; every edge above the
+    level is independence, whatever fit was given for it.
+    """
 
     structure: VineStructure
     models: tuple
@@ -326,20 +331,23 @@ class ConditionalVineModel:
     truncation_level: int | None = None
 
     def __post_init__(self):
-        self.models = tuple(tuple(tree) for tree in self.models)
-        lookup = {}
-        for tree, fits in zip(self.structure.trees, self.models):
-            if len(tree) != len(fits):
-                raise InterfaceError("models must align with the structure's trees")
+        trees = self.structure.trees
+        if self.truncation_level is not None:
+            _check_level(self.truncation_level, self.d)
+        level = self.truncation_level or len(trees)
+        models = [tuple(fits) for fits in self.models]
+        aligned = all(len(tree) == len(fits) for tree, fits in zip(trees, models))
+        if not (aligned and level <= len(models) <= len(trees)):
+            raise InterfaceError("models must align with the structure's trees")
+        for tree, fits in zip(trees, models):
             for e, fit in zip(tree, fits):
                 if len(fit.beta) != len(self.covariate_names):
                     raise InterfaceError(f"model edge {e.label()}: key 'beta': {len(fit.beta)} coefficients"
                                          f" for {len(self.covariate_names)} covariate names")
-                lookup[e] = fit
-        self._by_edge = lookup
-        self._index = _edge_index(self.structure.trees)
-        if self.truncation_level is not None:
-            _check_level(self.truncation_level, self.d)
+        self.models = tuple(models[:level]) + tuple(
+            tuple(FittedPairCopula.independence(self.n_covariates) for _ in tree) for tree in trees[level:])
+        self._by_edge = {e: fit for tree, fits in zip(trees, self.models) for e, fit in zip(tree, fits)}
+        self._index = _edge_index(trees)
 
     @property
     def d(self) -> int:
@@ -439,31 +447,14 @@ class ConditionalVineModel:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        trees = []
-        for tree, fits in zip(self.structure.trees, self.models):
-            edges = []
-            for e, fit in zip(tree, fits):
-                edges.append(
-                    {
-                        "a": e.a,
-                        "b": e.b,
-                        "conditioning": list(e.cond),
-                        "family": fit.family.value,
-                        "beta": [float(x) for x in fit.beta],
-                        "m_opt": int(fit.m_opt),
-                        "aic": float(fit.aic),
-                        "loglik": float(fit.loglik),
-                        "kept": [int(j) for j in fit.kept],
-                    }
-                )
-            trees.append(edges)
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "d": self.d,
-            "truncation_level": self.truncation_level,
-            "covariate_names": list(self.covariate_names),
-            "trees": trees,
-        }
+        doc = self.structure.to_dict()
+        for records, fits in zip(doc["trees"], self.models):
+            for rec, fit in zip(records, fits):
+                rec.update(family=fit.family.value, beta=[float(x) for x in fit.beta], m_opt=int(fit.m_opt),
+                           aic=float(fit.aic), loglik=float(fit.loglik), kept=[int(j) for j in fit.kept])
+        doc.update(schema_version=MODEL_SCHEMA_VERSION, truncation_level=self.truncation_level,
+                   covariate_names=list(self.covariate_names))
+        return doc
 
     @classmethod
     def from_dict(cls, obj):
@@ -516,20 +507,19 @@ class ConditionalVineModel:
 
     @classmethod
     def from_coefficients(cls, structure, families, betas, covariate_names=None):
-        """Build a synthetic model from per-edge families and coefficients."""
-        models = []
-        it_fam = iter(families)
-        it_beta = iter(betas)
-        width = None
-        for tree in structure.trees:
-            fits = []
-            for _ in tree:
-                beta = np.asarray(next(it_beta), dtype=float)
-                width = len(beta) if width is None else width
-                fits.append(FittedPairCopula.from_coefficients(next(it_fam), beta))
-            models.append(fits)
+        """Build a synthetic model from one family (a :class:`CopulaFamily`
+        or its tag) and one coefficient vector per edge, in tree order.
+        Counts other than the structure's edges raise :class:`InterfaceError`;
+        an unknown tag raises :class:`ConfigurationError`."""
+        families, betas = list(families), list(betas)
+        n_edges = sum(len(tree) for tree in structure.trees)
+        if not len(families) == len(betas) == n_edges:
+            raise InterfaceError(f"{len(families)} families and {len(betas)} coefficient vectors"
+                                 f" for the {n_edges} edges of the structure")
+        fits = map(FittedPairCopula.from_coefficients, families, betas)
+        models = [[next(fits) for _ in tree] for tree in structure.trees]
         if covariate_names is None:
-            covariate_names = tuple(f"z{j}" for j in range(width))
+            covariate_names = tuple(f"z{j}" for j in range(len(models[0][0].beta)))
         return cls(structure=structure, models=models, covariate_names=tuple(covariate_names))
 
 
@@ -606,10 +596,7 @@ def fit_vine(
     # fits of the trees below it
     models, fit_of, cache = [], {}, {}
     index, h, values = _edge_index(structure.trees), _fitted_h(fit_of, Z), _columns(U)
-    for t, tree in enumerate(structure.trees):
-        if t >= levels:
-            models.append([FittedPairCopula.independence(Z.shape[1]) for _ in tree])
-            continue
+    for t, tree in enumerate(structure.trees[:levels]):
         # the edges of one tree stack by their candidate families; outcome
         # holds each edge's fit or error
         data, outcome, stacks = {}, {}, {}
@@ -626,7 +613,7 @@ def fit_vine(
                 if deselect:
                     fits = bst._fit_pairs(pairs, Z, fams, control, criterion)
                 else:
-                    fits = bst._fit_edges(pairs, Z, bst._design(Z), fams, control, refit=False)[fams[0]]
+                    fits = bst._fit_edges(pairs, Z, fams, control, refit=False)[fams[0]]
             except Exception as exc:
                 fits = [exc] * len(edges)
             outcome.update(zip(edges, fits))
@@ -649,18 +636,8 @@ def truncate(model, level):
 
     The level must lie in 1 … d - 1 (else :class:`ConfigurationError`).
     """
-    models = []
-    for t, fits in enumerate(model.models):
-        if t < level:
-            models.append(list(fits))
-        else:
-            models.append([FittedPairCopula.independence(model.n_covariates) for _ in fits])
-    return ConditionalVineModel(
-        structure=model.structure,
-        models=models,
-        covariate_names=model.covariate_names,
-        truncation_level=level,
-    )
+    return ConditionalVineModel(structure=model.structure, models=model.models,
+                                covariate_names=model.covariate_names, truncation_level=level)
 
 
 def _kruskal_max(nodes, candidates):

@@ -158,8 +158,8 @@ def reference_boost(pairs, Z, family, control, selectable=None):
     """The boosting loop on the oracle loss and gradient, as the fused path's reference."""
     u1, u2 = pairs[:, 0], pairs[:, 1]
     n, p1 = Z.shape
-    Zs, mu, sigma, has_intercept, degenerate = B._standardize(Z)
-    mask = ~degenerate
+    design = B._design(Z)
+    Zs, mask = design.Zs, ~design.degenerate
     if selectable is not None:
         sel = np.zeros(p1, dtype=bool)
         sel[np.asarray(selectable, dtype=int)] = True
@@ -185,6 +185,11 @@ def reference_boost(pairs, Z, family, control, selectable=None):
         risk[m] = oracle_risk(family, u1, u2, eta)
         active[m] = int(np.count_nonzero(beta_std))
     return selected, risk, active
+
+
+def fit_families(pairs, Z, families, control):
+    """family -> the fit of ``B._fit_edges`` on the one edge ``pairs``, or its error."""
+    return {family: fits[0] for family, fits in B._fit_edges(pairs[None], Z, families, control).items()}
 
 
 def holdout_risk_path(path, pairs, Z):
@@ -281,7 +286,7 @@ class TestFamilyBatched:
         share_gemm(monkeypatch, gemm)
         pairs, Z = sign_changing_data(fam, p)
         control = BoostControl(m_stop=150, nu=0.3)
-        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
         for family, fit in fits.items():
             selected, risk, active = reference_boost(pairs, Z, family, control)
             np.testing.assert_array_equal(fit.risk_path.selected, selected)
@@ -323,7 +328,7 @@ class TestOneStack:
         fams = [CopulaFamily.GUMBEL_II, CopulaFamily.GAUSSIAN, CopulaFamily.GUMBEL_I]
         pairs, Z = sign_changing_data(CopulaFamily.GUMBEL_I, 21)
         control = BoostControl(m_stop=150, nu=0.3)
-        fits = B._fit_families(pairs, Z, fams, control)
+        fits = fit_families(pairs, Z, fams, control)
         assert list(fits) == fams
         for family, fit in fits.items():
             alone = B.fit_family(pairs, Z, family, control)
@@ -379,7 +384,7 @@ class TestCandidateFailure:
         solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
         prepare = LabelledPrepare(F.prepare, fail_from({bad}, at=17))
         monkeypatch.setattr(B, "prepare", prepare)
-        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
         assert isinstance(fits[bad], EvaluationError)
         counts = {label: n for made in prepare.made for label, n in made.items()}
         # the failing row was evaluated at iterations 0 to 16 only, and
@@ -419,7 +424,7 @@ class TestCandidateFailure:
 
         prepare = LabelledPrepare(F.prepare, fails)
         monkeypatch.setattr(B, "prepare", prepare)
-        fits = B._fit_families(pairs, Z, fams, control)
+        fits = fit_families(pairs, Z, fams, control)
         assert [str(e) for e in prepare.raised] == ["gradient failed"]
         counts = {label: n for made in prepare.made for label, n in made.items()}
         for family in fams:
@@ -438,7 +443,7 @@ class TestCandidateFailure:
             B.fit_family(pairs, Z, bad, control)
         prepare = LabelledPrepare(F.prepare, fail_from({bad}, at=17, folds={2, 4}))
         monkeypatch.setattr(B, "prepare", prepare)
-        fits = B._fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
         assert isinstance(fits[bad], EvaluationError)
         # one kernel for the main paths of each family, then one for the
         # folds of each family's CV stop

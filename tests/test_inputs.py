@@ -2,8 +2,10 @@
 
 A wrong number of dimensions, columns or rows raises ``InterfaceError("NAME
 must be an (ROWS, COLS) array, got shape S")``, with ``N`` or ``p`` where any
-count will do, and the first non-finite entry raises ``InterfaceError("NAME
-row i, column j is not finite (v)")``.
+count will do, the first non-finite entry raises ``InterfaceError("NAME
+row i, column j is not finite (v)")``, and a ragged array or one with a cell
+that is not a number raises ``InterfaceError("NAME must be a rectangular
+array of numbers")``.
 """
 
 import re
@@ -71,19 +73,27 @@ def _at_3_1(value):
     return edit
 
 
+def _text_at_3_1(x):
+    x = x.astype(object)
+    x[3, 1] = "a"
+    return x
+
+
 EDITS = {
     "1-d": lambda x: x[:, 0],
     "wide": lambda x: np.column_stack([x, x[:, 0]]),
     "misaligned": lambda x: x[:-1],
     "nan": _at_3_1(np.nan),
     "inf": _at_3_1(np.inf),
+    "ragged": lambda x: [list(row) for row in x[:-1]] + [list(x[-1, :-1])],
+    "text": _text_at_3_1,
 }
 
 
 def _applies(edit, shape):
     """Whether ``edit`` breaks an array whose shape message prints ``shape``."""
     if shape is None:
-        return edit in ("nan", "inf")
+        return edit in ("nan", "inf", "text")
     return {"wide": isinstance(shape[1], int), "misaligned": isinstance(shape[0], int)}.get(edit, True)
 
 
@@ -99,11 +109,18 @@ def test_malformed_array_is_an_interface_error_naming_it(caller, array, edit):
     data[array] = EDITS[edit](data[array])
     if edit in ("nan", "inf"):
         message = f"{array} row 3, column 1 is not finite ({edit})"
+    elif edit in ("ragged", "text"):
+        message = f"{array} must be a rectangular array of numbers"
     else:
         rows, cols = arrays[array]
         message = f"{array} must be an ({rows}, {cols}) array, got shape {data[array].shape}"
     with pytest.raises(InterfaceError, match=f"^{re.escape(message)}$"):
         call(data)
+
+
+def test_prepare_needs_columns_of_one_shape():
+    with pytest.raises(InterfaceError, match=r"^u1 and u2 must have one shape, got \(5,\) and \(4,\)$"):
+        F.prepare(GAUSS, np.full(5, 0.3), np.full(4, 0.3))
 
 
 def test_structure_selection_needs_two_columns():

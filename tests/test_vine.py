@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -555,6 +556,160 @@ class TestTruncateAndSerialize:
         assert full - level2 < 0.01  # truncation costs almost nothing
         level1 = truncate(model, 1).log_density(U, Z).mean()
         assert full - level1 > 0.02  # dropping tree 2 is visibly worse
+
+
+def clayton_top_model():
+    """A 3-d D-vine whose tree-2 edge is a Clayton I copula."""
+    return ConditionalVineModel.from_coefficients(
+        dvine_structure(range(3)), [CopulaFamily.GAUSSIAN, CopulaFamily.GAUSSIAN, CopulaFamily.CLAYTON_I],
+        [[0.4, 0.2], [0.3, -0.1], [0.6, 0.3]])
+
+
+def model_data(n=200, seed=31):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.05, 0.95, (n, 3)), np.column_stack([np.ones(n), rng.standard_normal(n)])
+
+
+# The exact model document of golden_model(): any change to the text of
+# model files shows here.
+GOLDEN_JSON = """\
+{
+  "covariate_names": [
+    "one",
+    "x"
+  ],
+  "d": 3,
+  "schema_version": 1,
+  "trees": [
+    [
+      {
+        "a": 0,
+        "aic": 0.0,
+        "b": 1,
+        "beta": [
+          0.25,
+          -0.5
+        ],
+        "conditioning": [],
+        "family": "gaussian",
+        "kept": [
+          0,
+          1
+        ],
+        "loglik": 0.0,
+        "m_opt": 0
+      },
+      {
+        "a": 0,
+        "aic": 0.0,
+        "b": 2,
+        "beta": [
+          0.0,
+          0.125
+        ],
+        "conditioning": [],
+        "family": "claytonII",
+        "kept": [
+          1
+        ],
+        "loglik": 0.0,
+        "m_opt": 0
+      }
+    ],
+    [
+      {
+        "a": 1,
+        "aic": 0.0,
+        "b": 2,
+        "beta": [
+          -0.75,
+          0.0
+        ],
+        "conditioning": [
+          0
+        ],
+        "family": "gumbelI",
+        "kept": [
+          0
+        ],
+        "loglik": 0.0,
+        "m_opt": 0
+      }
+    ]
+  ],
+  "truncation_level": null
+}"""
+
+
+def golden_model():
+    return ConditionalVineModel.from_coefficients(
+        dvine_structure([2, 0, 1]), [CopulaFamily.GAUSSIAN, CopulaFamily.CLAYTON_II, CopulaFamily.GUMBEL_I],
+        [[0.25, -0.5], [0.0, 0.125], [-0.75, 0.0]], ("one", "x"))
+
+
+class TestModelConstruction:
+    """The constructor alone decides which edges are independence, the
+    structure writes the edge records, and every family is checked."""
+
+    @pytest.mark.parametrize("source", ["dict", "file", "constructor"])
+    def test_level_below_an_edge_loads_as_the_truncated_model(self, tmp_path, source):
+        full = clayton_top_model()
+        doc = full.to_dict()
+        doc["truncation_level"] = 1
+        if source == "dict":
+            model = ConditionalVineModel.from_dict(doc)
+        elif source == "file":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            model = ConditionalVineModel.from_json(str(path))
+        else:
+            model = ConditionalVineModel(full.structure, full.models, full.covariate_names, truncation_level=1)
+        truncated = truncate(full, 1)
+        assert model.to_json() == truncated.to_json()
+        assert [f.family for f in model.models[1]] == [CopulaFamily.INDEPENDENCE]
+        U, Z = model_data()
+        np.testing.assert_array_equal(model.sample(Z, 7), truncated.sample(Z, 7))
+        np.testing.assert_array_equal(model.rosenblatt(U, Z), truncated.rosenblatt(U, Z))
+        np.testing.assert_array_equal(model.log_density(U, Z), truncated.log_density(U, Z))
+        assert not np.array_equal(full.sample(Z, 7), truncated.sample(Z, 7))
+
+    def test_constructor_needs_fits_up_to_the_level_only(self):
+        full = clayton_top_model()
+        names = full.covariate_names
+        model = ConditionalVineModel(full.structure, full.models[:1], names, truncation_level=1)
+        assert model.to_json() == truncate(full, 1).to_json()
+        for models, level in ((full.models[:1], None), ((), 1), (full.models + full.models[1:], None)):
+            with pytest.raises(InterfaceError, match="^models must align with the structure's trees$"):
+                ConditionalVineModel(full.structure, models, names, truncation_level=level)
+        wide = FittedPairCopula.from_coefficients(CopulaFamily.GAUSSIAN, [0.1, 0.2, 0.3])
+        for t in (0, 1):
+            models = [list(fits) for fits in full.models]
+            models[t][0] = wide
+            with pytest.raises(InterfaceError, match=r"^model edge \S+: key 'beta': 3 coefficients for 2 covariate"):
+                ConditionalVineModel(full.structure, models, names, truncation_level=1)
+
+    def test_from_coefficients_takes_tags(self):
+        structure, betas = dvine_structure(range(3)), [[0.4, 0.2], [0.3, -0.1], [0.6, 0.3]]
+        model = ConditionalVineModel.from_coefficients(structure, ["gaussian", "gaussian", "claytonI"], betas)
+        assert [type(f.family) for fits in model.models for f in fits] == [CopulaFamily] * 3
+        text = model.to_json()
+        assert text == clayton_top_model().to_json()
+        assert ConditionalVineModel.from_json(text).to_json() == text
+        assert type(FittedPairCopula.from_coefficients("gumbelII", [0.1]).family) is CopulaFamily
+
+    def test_from_coefficients_checks_tags_and_counts(self):
+        structure, betas = dvine_structure(range(3)), [[0.4, 0.2], [0.3, -0.1], [0.6, 0.3]]
+        with pytest.raises(ConfigurationError, match="^unknown copula family 'frank'"):
+            ConditionalVineModel.from_coefficients(structure, ["gaussian", "frank", "claytonI"], betas)
+        with pytest.raises(ConfigurationError, match="^unknown copula family 'frank'"):
+            FittedPairCopula.from_coefficients("frank", [0.1])
+        for families, n_betas in ((["gaussian"] * 2, 3), (["gaussian"] * 3, 2), (["gaussian"] * 4, 4)):
+            message = f"^{len(families)} families and {n_betas} coefficient vectors for the 3 edges of the structure$"
+            with pytest.raises(InterfaceError, match=message):
+                ConditionalVineModel.from_coefficients(structure, families, (betas * 2)[:n_betas])
+
+    def test_model_document_text_is_pinned(self):
+        assert golden_model().to_json() == GOLDEN_JSON
 
 
 ALL_FAMILIES = (CopulaFamily.INDEPENDENCE,) + tuple(FIT_FAMILIES)
