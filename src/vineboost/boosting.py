@@ -130,15 +130,12 @@ def _checked_data(pairs, Z):
 
 _CANDIDATE_ERRORS = (EvaluationError, FloatingPointError, ConfigurationError)
 
-# From this design size up, a stack holding several families scans the
-# design with one GEMM per iteration; below it with one batched GEMV.  The
-# GEMM reads the design once per iteration instead of once per row, which
-# pays once the design no longer fits a core's L2 cache: for fit_pair over
-# the five families at N=1000, the GEMM took 1.46x the GEMV's time with p=101
-# (0.8 MiB), 0.99-1.08x with p=201 to 351 (1.5 to 2.7 MiB) and 0.71-0.77x
-# with p=401 to 501 (3.1 to 3.8 MiB), on a 2-vCPU Xeon with 2 MiB of L2 per
-# core and OpenBLAS on one thread.  The threshold sits in the even band.
-_GEMM_MIN_BYTES = 2 << 20
+
+def _gamma(k, u):
+    """Higham's gamma(k) = k u / (1 - k u), which bounds the relative error
+    of k roundings at unit roundoff u; inf from k u = 1 on, where it bounds
+    nothing."""
+    return k * u / (1.0 - k * u) if k * u < 1.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -196,20 +193,26 @@ class _Stack:
     ``kernels[b]`` holds them, in that order, in one kernel.  The stack is
     given the kernels of each base's families and joins them
     (``PairKernel._join``); they then view the data of the joint kernel.
+    A row trains on its data rows before ``held``, or on all of them when
+    ``held`` is 0.  The float32 design ``Zs32`` that :meth:`step` is given
+    is shared by every row, with row i's scan columns at ``spots[i]`` when
+    those are given, unless ``blocks32`` holds each row's own float32
+    training block.
     """
 
-    def __init__(self, families, kernels, base, fam, drow, stop, held, scan, blocks_T, n):
-        width = scan[0].shape[1]
+    def __init__(self, families, kernels, base, fam, drow, stop, held, scan, spots, blocks32, n):
         self.families = families
         self.kernels = [k[0]._join(*k[1:]) if len(k) > 1 else k[0] for k in kernels]
         self.rows, self.base, self.fam, self.drow = np.arange(len(stop)), base, fam, drow
         self.stop, self.held = stop, held
         self.cols, self.mask, self.colsq = scan
-        self.blocks_T = blocks_T
+        self.inv_norm = np.where(self.mask, 1.0 / np.sqrt(self.colsq), 0.0)
+        # (gamma, floor) with 2c = gamma |g| + floor in :meth:`screen`
+        self.slack = 2.0 * (_gamma(n + 2, 2.0**-24) + _gamma(n, 2.0**-53)), n * 2.0**-129
+        self.spots, self.blocks32 = spots, blocks32
         self.eta = np.zeros((len(stop), n))
         self.logpdf = np.zeros((len(stop), n))
         self.grad = np.zeros((len(stop), n))
-        self.numer = np.zeros((len(stop), width))
         m_max = int(stop.max())
         self.selected = np.zeros((m_max, len(stop)), dtype=np.int64)
         self.increments = np.zeros((m_max, len(stop)))
@@ -217,11 +220,12 @@ class _Stack:
         self._index()
 
     def _index(self):
-        self.offsets = np.arange(len(self.rows)) * self.numer.shape[1]
+        self.live = np.arange(len(self.rows))
+        self.offsets = self.live * self.cols.shape[1]
         bounds = np.searchsorted(self.base, np.arange(len(self.kernels) + 1))
         self.spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         # the live rows grouped by their first held-out row, 0 for those
-        # training on all rows: each row's risk rows
+        # training on all rows: each row's risk rows and training rows
         held = np.unique(self.held)
         self.risk_rows = [(slice(None) if len(held) == 1 else self.held == t, t) for t in held]
 
@@ -231,10 +235,12 @@ class _Stack:
             kept = rows[(rows >= span.start) & (rows < span.stop)] - span.start
             if len(kept) < span.stop - span.start:
                 self.kernels[b] = self.kernels[b].take(kept) if len(kept) else None
-        if self.blocks_T is not None:
-            self.blocks_T = [self.blocks_T[i] for i in rows]
-        for name in ("rows", "base", "fam", "drow", "stop", "held", "cols", "mask", "colsq", "eta", "logpdf",
-                     "grad", "numer"):
+        if self.blocks32 is not None:
+            self.blocks32 = [self.blocks32[i] for i in rows]
+        if self.spots is not None:
+            self.spots = self.spots[rows]
+        for name in ("rows", "base", "fam", "drow", "stop", "held", "cols", "mask", "colsq", "inv_norm", "eta", "logpdf",
+                     "grad"):
             setattr(self, name, getattr(self, name)[rows])
         for name in ("selected", "increments", "risk"):
             setattr(self, name, getattr(self, name)[:, rows])
@@ -285,29 +291,83 @@ class _Stack:
         for rows, t in self.risk_rows:
             self.risk[m, rows] = -(np.add.reduce(self.logpdf[rows, t:], axis=1) / (n - t))
 
-    def scan(self, Zs, gemm):
-        """``numer`` row i = the GEMV of live row i's training block with its
-        gradient: one batched GEMV on a shared design, one call per row on
-        the rows' own blocks, or with ``gemm`` one GEMM, which sums in
-        another order."""
-        if gemm:
-            self.numer = self.grad @ Zs
-        elif self.blocks_T is None:
-            np.matmul(Zs.T, self.grad[:, :, None], out=self.numer[:, :, None])
-        else:
-            for Zs_T, g, numer in zip(self.blocks_T, self.grad, self.numer):
-                np.matmul(Zs_T, g[: Zs_T.shape[1]], out=numer[: Zs_T.shape[0]])
+    def screen(self, Zs32):
+        """The scan positions of every live row that may hold its best
+        column, as a (rows, width) mask: the screen only rules columns out.
 
-    def step(self, m, nu, Zs):
-        """Iteration m of every live row, from its scan ``numer`` = Zs.T @ g."""
-        numer, colsq = self.numer, self.colsq
-        score = np.where(self.mask, numer * numer / colsq, -np.inf)
-        at = self.offsets + score.argmax(axis=1)
-        step = nu * numer.take(at) / colsq.take(at)
-        cols = self.cols.take(at)
-        update = Zs[:, cols] if Zs.ndim == 2 else Zs[self.drow, :, cols].T
-        update *= step
-        self.eta += update.T
+        Column j's exact numerator e_j is z_j . g over the row's training
+        rows, and its score e_j^2 / |z_j|^2.  The gradient is cast to
+        float32 and s_j = z_j . g formed in float32, with one GEMM on the
+        float32 design ``Zs32`` or, on CV folds, one GEMV per row on its own
+        float32 block.  When some row's |g| lies outside (2^-100, 2^100),
+        or is 0, each row is first scaled by the power of two 2^k that puts
+        its max|g| in [1, 2), k <= 934, which is exact; otherwise k = 0.
+        Either way float32 cannot overflow.  By
+        Higham's dot-product bound (*Accuracy and Stability of Numerical
+        Algorithms*, 2002, ch. 3) and Cauchy-Schwarz, in any summation order
+        and with or without FMA, |s_j - 2^k e_j| <= c |z_j| for N data rows,
+
+            c = (gamma32(N + 2) + gamma64(N)) |2^k g| + N 2^-130:
+
+        gamma32(N + 2) covers the float32 products and sums and both casts,
+        gamma64(N) the float64 numerator, and the rest, generously, every
+        underflow in either precision that the gamma term does not, as a
+        selectable column, standardized to mean square 1 over its training
+        rows or the intercept, has |z_j| >= 1.  So r_j = |s_j| / |z_j| lies
+        within c of 2^k |e_j| / |z_j|, and the best column has
+        r_j >= max r - 2c.  A column stays a candidate when
+        r_j >= (1 - 1e-6) max r - 2c over its row's selectable columns: the
+        margin covers the float64 rounding of r, c and the scores, a few
+        ulps each, and where c is too large for that the bound is negative
+        and every column stays.
+        """
+        g = self.grad
+        sq = np.einsum("ij,ij->i", g, g)
+        if not 2.0**-200 < sq.min() <= sq.max() < 2.0**200:  # |g| far from 1, or 0: scale by 2^k first
+            gmax = np.abs(g).max(axis=1)
+            g = np.ldexp(g, np.minimum(1 - np.frexp(gmax)[1], 934)[:, None])
+            sq = np.einsum("ij,ij->i", g, g)
+        g32 = g.astype(np.float32)
+        if self.blocks32 is None:
+            s = g32 @ Zs32
+            if self.spots is not None:
+                s = s[self.live[:, None], self.spots]
+        else:
+            s = np.zeros(self.cols.shape, dtype=np.float32)
+            for block, gi, si in zip(self.blocks32, g32, s):
+                np.matmul(gi[: len(block)], block, out=si[: block.shape[1]])
+        r = np.abs(s) * self.inv_norm
+        gamma, floor = self.slack
+        return (r >= ((1.0 - 1e-6) * r.max(axis=1) - (gamma * np.sqrt(sq) + floor))[:, None]) & self.mask
+
+    def step(self, m, nu, Zs, Zs32):
+        """Iteration m of every live row: the candidates of its screen (see
+        :meth:`screen`) decide by their exact numerators, numpy's pairwise
+        sum of z_j * g over the row's training rows.  The first best in
+        column order is taken, with the step nu e_j / |z_j|^2, and the
+        predictor moves by the same column times the step."""
+        candidates, live = self.screen(Zs32), self.live
+        if np.count_nonzero(candidates) == len(live):  # each row has one
+            at_row, at, grad = live, self.offsets + candidates.argmax(axis=1), self.grad
+        else:
+            at = np.flatnonzero(candidates)
+            at_row = at // candidates.shape[1]
+            grad = self.grad[at_row]
+        cols, colsq = self.cols.take(at), self.colsq.take(at)
+        # one C-contiguous row per candidate: its column over all data rows
+        block = Zs.T[cols] if Zs.ndim == 2 else Zs[self.drow[at_row], :, cols]
+        numer = np.empty(len(cols))
+        for rows, t in self.risk_rows:
+            k = slice(None) if isinstance(rows, slice) else rows[at_row]
+            numer[k] = np.add.reduce(block[k, : t or None] * grad[k, : t or None], axis=1)
+        if len(cols) > len(live):  # a row with several candidates takes its first best
+            score = np.full(candidates.shape, -np.inf)
+            score.flat[at] = numer * numer / colsq
+            pick = np.searchsorted(at, self.offsets + score.argmax(axis=1))
+            numer, cols, colsq, block = numer[pick], cols[pick], colsq[pick], block[pick]
+        step = nu * numer / colsq
+        block *= step[:, None]
+        self.eta += block
         self.selected[m - 1] = cols
         self.increments[m - 1] = step
 
@@ -353,26 +413,26 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
     design, or CV folds on a design with one entry per kernel row (see
     :class:`_Design`).  ``m_stop[family]`` gives each row of the family's
     kernel its iteration count, and ``cols[family]``, if given, its scan
-    columns of a shared design, which are copied contiguously (once for
-    rows with the same columns) and whose picks are mapped back to the
-    design's column indices.  The rows are grouped by base copula, and the
-    kernels of the families of one base, such as Clayton I and II, are made
-    one kernel (``PairKernel._join``).  Each iteration evaluates the log
-    density of every row (it gives risk[m]) and its gradient (it drives step
-    m + 1) with one call of each base's kernel.  It then scans the
-    covariates of every row and makes the coordinate choice and the step for
-    all rows at once.  The risk is the mean negative log density over a
-    row's held-out rows, or over all rows when it has none.  A row leaves
-    the stack when it has run its iterations.
+    columns of a shared design, whose picks are mapped back to the design's
+    column indices.  The rows are grouped by base copula, and the kernels of
+    the families of one base, such as Clayton I and II, are made one kernel
+    (``PairKernel._join``).  Each iteration evaluates the log density of
+    every row (it gives risk[m]) and its gradient (it drives step m + 1)
+    with one call of each base's kernel.  The risk is the mean negative log
+    density over a row's held-out rows, or over all rows when it has none.
+    A row leaves the stack when it has run its iterations.
 
-    The scan is one batched GEMV of the shared design with every row's
-    gradient or, with ``cols`` or held-out rows, one GEMV of each row's
-    training block, so every row takes the path it takes alone, bit for
-    bit.  On a shared design of at least ``_GEMM_MIN_BYTES`` a stack of
-    several families scans with one GEMM, ``G @ Zs``, instead.  That sums
-    in another order, and where a step overshoots (the risk rises) the
-    rounding difference can grow into another path, so such a row is
-    boosted again alone.
+    The coordinate choice is screened in float32 and decided exactly (see
+    :meth:`_Stack.screen` and :meth:`_Stack.step`): one float32 GEMM over a
+    float32 copy of the design columns the rows scan, or on CV folds one
+    float32 GEMV per row on its fold's training block, rules out the
+    columns that cannot score best under a rigorous error bound.
+    The few left decide by their exact numerators, numpy's pairwise sum of
+    z_j * g over the row's training rows, which depends only on the column
+    and the gradient: not on the BLAS, the other rows or the other
+    candidates.  So every row takes the path it takes alone, bit for bit,
+    and a refit on survivor columns the path a fit on all columns with only
+    those selectable takes.
 
     Returns family -> one :class:`BoostPath` per kernel row, or the
     exception that stopped it.  A row fails on its own: when a base's
@@ -401,52 +461,37 @@ def _boost_paths(kernels, design, nu, m_stop, cols=None):
         scan[0][r, : len(s)] = s
         scan[1][r, : len(s)] = ~d.degenerate[s]
         scan[2][r, : len(s)] = d.colsq_safe[s]
-    shared = cols is None and design.Zs.ndim == 2 and design.n_train == n
-    gemm = shared and len(families) > 1 and design.Zs.nbytes >= _GEMM_MIN_BYTES
-    if shared:
-        blocks_T = None
-    elif cols is None:  # CV: the training rows of each row's own design
-        blocks_T = [d.Zs[: d.n_train].T for d in designs]
-    else:  # one contiguous copy of the shared design per distinct column set
-        copies = {}
-        for s in scans:
-            if tuple(s) not in copies:
-                copies[tuple(s)] = np.ascontiguousarray(design.Zs[:, s]).T
-        blocks_T = [copies[tuple(s)] for s in scans]
+    spots = blocks32 = None
+    if cols is None:
+        Zs32 = design.Zs.astype(np.float32)
+        if Zs32.ndim == 3 or design.n_train < n:  # CV: the training rows of each row's own design
+            blocks32 = [(Zs32 if Zs32.ndim == 2 else Zs32[e])[: d.n_train] for e, d in zip(drow, designs)]
+    else:  # a float32 copy of the columns some row scans, and where each row's columns sit in it
+        union = np.unique(np.concatenate(scans))
+        Zs32 = design.Zs[:, union].astype(np.float32)
+        spots = np.searchsorted(union, scan[0])
     held = np.array([d.n_train % n for d in designs])
-
-    def alone(stack, i):
-        r, family = stack.rows[i], families[stack.fam[i]]
-        return _boost_paths({family: stack.kernel(i)}, designs[r], nu, {family: stop[[r]]},
-                            None if cols is None else {family: [scans[r]]})[family][0]
 
     out = {family: [ConfigurationError("no selectable covariates") for _ in m_stop[family]] for family in kernels}
     rows = np.flatnonzero(scan[1].any(axis=1))
     if not len(rows):
         return out
     stack = _Stack(families, [[kernels[family] for family in group] for group in groups.values()], base, fam,
-                   drow, stop, held, scan, blocks_T, n)
+                   drow, stop, held, scan, spots, blocks32, n)
     del kernels  # the stack's now: data of rows that leave is freed with their kernels
     if len(rows) < len(stop):
         stack.keep(rows)
     for m in range(int(stack.stop.max()) + 1):
         if m > 0:
-            stack.scan(design.Zs, gemm)
-            stack.step(m, nu, design.Zs)
+            stack.step(m, nu, design.Zs, Zs32)
         failed = stack.evaluate(m)
         stack.record_risk(m, n)
-        rose = stack.risk[m] > stack.risk[m - 1] if gemm and m > 0 else np.zeros(len(stack.rows), dtype=bool)
-        leave = (stack.stop == m) | rose
+        leave = stack.stop == m
         leave[list(failed)] = True
         if not leave.any():
             continue
         for i in np.flatnonzero(leave):
-            if i in failed:
-                path = failed[i]
-            elif rose[i]:
-                path = alone(stack, i)
-            else:
-                path = stack.path(i, designs[stack.rows[i]])
+            path = failed[i] if i in failed else stack.path(i, designs[stack.rows[i]])
             out[families[stack.fam[i]]][stack.drow[i]] = path
         if leave.all():
             break

@@ -374,7 +374,9 @@ class ConditionalVineModel:
 
     def pseudo_observations(self, U, Z):
         """The h-function-transformed data each edge's copula acts on."""
-        U, Z = self._check_UZ(U, Z)
+        return self._pseudo_observations(*self._check_UZ(U, Z))
+
+    def _pseudo_observations(self, U, Z):
         F = self._cdf(_columns(U), Z)
         return {e: (F(e.a, e.cond), F(e.b, e.cond))
                 for tree in self.structure.trees[: self.truncation_level] for e in tree}
@@ -383,7 +385,7 @@ class ConditionalVineModel:
         """Per-row log density of the conditional vine copula."""
         U, Z = self._check_UZ(U, Z)
         out = np.zeros(U.shape[0])
-        for e, (ua, ub) in self.pseudo_observations(U, Z).items():
+        for e, (ua, ub) in self._pseudo_observations(U, Z).items():
             fit = self._by_edge[e]
             if fit.family != CopulaFamily.INDEPENDENCE:
                 out += log_density(fit.family, ua, ub, predict_tau(fit, Z))
@@ -403,7 +405,9 @@ class ConditionalVineModel:
 
     def inverse_rosenblatt(self, W, Z):
         """Map uniform seeds through the vine's inverse Rosenblatt transform."""
-        W, Z = self._check_UZ(W, Z, "W")
+        return self._inverse_rosenblatt(*self._check_UZ(W, Z, "W"))
+
+    def _inverse_rosenblatt(self, W, Z):
         values = {}
         F = self._cdf(values, Z)
         order = self._order()
@@ -442,7 +446,7 @@ class ConditionalVineModel:
         Z = self._check_Z(Z)
         rng = np.random.default_rng(seed)
         W = rng.random((Z.shape[0], self.d))
-        return self.inverse_rosenblatt(W, Z)
+        return self._inverse_rosenblatt(W, Z)
 
     # -- serialization ------------------------------------------------------
 

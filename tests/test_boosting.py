@@ -3,12 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from vineboost import boosting as B
 from vineboost import families as F
 from vineboost.boosting import BoostControl, BoostPath, FittedPairCopula
 from vineboost.errors import ConfigurationError, EvaluationError, FitError, InterfaceError
 from vineboost.families import CopulaFamily
+from vineboost.simulation import gen_covariates, true_eta
 
 from oracles import LabelledPrepare, oracle_log_density, oracle_loss_gradient
 
@@ -166,6 +169,7 @@ def reference_boost(pairs, Z, family, control, selectable=None):
         mask &= sel
     colsq = np.einsum("ij,ij->j", Zs, Zs)
     colsq_safe = np.where(colsq < B._DEGENERATE_TOL, 1.0, colsq)
+    Zs_T = np.ascontiguousarray(Zs.T)
     m_stop = control.m_stop
     selected = np.zeros(m_stop, dtype=np.int64)
     risk = np.zeros(m_stop + 1)
@@ -175,7 +179,7 @@ def reference_boost(pairs, Z, family, control, selectable=None):
     risk[0] = oracle_risk(family, u1, u2, eta)
     for m in range(1, m_stop + 1):
         g = oracle_loss_gradient(family, u1, u2, eta)
-        numer = Zs.T @ g
+        numer = np.add.reduce(Zs_T * g, axis=1)  # each column's pairwise sum: the exact numerators
         score = np.where(mask, numer * numer / colsq_safe, -np.inf)
         j = int(np.argmax(score))
         step = control.nu * numer[j] / colsq_safe[j]
@@ -267,23 +271,24 @@ def sign_changing_data(family, p):
     return simulate_pair_data(family, 300, p, 0.3, seed=31, beta=beta)
 
 
-# Each shape once as fitted (designs this small boost each family alone)
-# and once forced onto the shared loop with one GEMM per iteration.
+# Each shape once screened and once with the screen opened: every
+# selectable column then decides by its exact numerator.  The screen only
+# rules columns out, so both give the same paths.
 BATCHED_SHAPES = [(21, False), (21, True), (201, False), (201, True)]
 
 
-def share_gemm(monkeypatch, gemm):
-    if gemm:
-        monkeypatch.setattr(B, "_GEMM_MIN_BYTES", 0)
+def open_screen(monkeypatch, opened):
+    if opened:
+        monkeypatch.setattr(B._Stack, "screen", lambda stack, Zs32: stack.mask.copy())
 
 
 class TestFamilyBatched:
-    """The candidate families boosted together against one-family GEMV loops."""
+    """The candidate families boosted together against one-family reference loops."""
 
-    @pytest.mark.parametrize("p, gemm", BATCHED_SHAPES)
+    @pytest.mark.parametrize("p, opened", BATCHED_SHAPES)
     @pytest.mark.parametrize("fam", list(F.FIT_FAMILIES))
-    def test_paths_match_reference_loop(self, monkeypatch, fam, p, gemm):
-        share_gemm(monkeypatch, gemm)
+    def test_paths_match_reference_loop(self, monkeypatch, fam, p, opened):
+        open_screen(monkeypatch, opened)
         pairs, Z = sign_changing_data(fam, p)
         control = BoostControl(m_stop=150, nu=0.3)
         fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
@@ -292,36 +297,150 @@ class TestFamilyBatched:
             np.testing.assert_array_equal(fit.risk_path.selected, selected)
             np.testing.assert_array_equal(fit.risk_path.active_size, active)
             np.testing.assert_allclose(fit.risk_path.risk, risk, rtol=1e-12, atol=0.0)
-            # The refit scans only the survivor columns, which sums in another
-            # order: on a one-survivor refit whose risk is near 0 (2.3e-4) that
-            # moves the risk by 6.8e-16, hence the absolute floor.
+            # A column's numerator does not depend on the columns scanned
+            # with it, so the refit on the survivors is the reference loop
+            # with only those selectable, bit for bit.
             assert fit.m_opt > 0
             refit = replace(control, m_stop=fit.m_opt)
             selected, risk, active = reference_boost(pairs, Z, family, refit, fit.survivors)
             np.testing.assert_array_equal(fit.refit_path.selected, selected)
             np.testing.assert_array_equal(fit.refit_path.active_size, active)
-            np.testing.assert_allclose(fit.refit_path.risk, risk, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(fit.refit_path.risk, risk)
         winner = B.fit_pair(pairs, Z, F.FIT_FAMILIES, control)
         assert winner.selection_scores == {f.value: fit.aic for f, fit in fits.items()}
         np.testing.assert_array_equal(winner.beta, fits[winner.family].beta)
 
 
+def screened_steps(Zs, grad, mask, nu=0.3):
+    """Step 1 of a :class:`B._Stack` whose rows have the gradients ``grad``
+    on the design ``Zs``, screened with one GEMM, with one GEMM whose
+    columns the rows find through ``spots``, and with one GEMV per row:
+    (selected, increments, eta) of each."""
+    rows, n = grad.shape
+    colsq = np.einsum("ij,ij->j", Zs, Zs)
+    colsq = np.where(colsq < B._DEGENERATE_TOL, 1.0, colsq)
+    scan = tuple(np.tile(a, (rows, 1)) for a in (np.arange(Zs.shape[1]), mask, colsq))
+    Zs32 = Zs.astype(np.float32)
+    zero = np.zeros(rows, dtype=np.int64)
+    out = []
+    for spots, blocks32 in ((None, None), (scan[0], None), (None, [Zs32] * rows)):
+        stack = B._Stack([CopulaFamily.GAUSSIAN], [[None]], zero, zero, np.arange(rows), zero + 1, zero, scan,
+                         spots, blocks32, n)
+        stack.grad = grad
+        stack.step(1, nu, Zs, Zs32)
+        out.append((stack.selected[0], stack.increments[0], stack.eta))
+    return out
+
+
+def assert_exact_choice(Zs, grad, mask, nu=0.3):
+    """Each row of both screens picks the first best column of its exact
+    numerators over all columns, with that numerator's step, bit for bit."""
+    numer = np.add.reduce(np.ascontiguousarray(Zs.T) * grad[:, None, :], axis=2)
+    colsq = np.einsum("ij,ij->j", Zs, Zs)
+    colsq = np.where(colsq < B._DEGENERATE_TOL, 1.0, colsq)
+    best = np.where(mask, numer * numer / colsq, -np.inf).argmax(axis=1)
+    step = nu * numer[np.arange(len(grad)), best] / colsq[best]
+    eta = np.zeros(grad.shape) + step[:, None] * Zs[:, best].T
+    for selected, increments, moved in screened_steps(Zs, grad, mask, nu):
+        np.testing.assert_array_equal(selected, best)
+        np.testing.assert_array_equal(increments.view(np.uint64), step.view(np.uint64))
+        np.testing.assert_array_equal(moved.view(np.uint64), eta.view(np.uint64))
+    return best
+
+
+def ulp_apart_columns(rng, n, p1):
+    """A design whose columns 4 and 9 differ in one entry, and a gradient
+    along them under which their scores are one ulp apart."""
+    while True:
+        Zs = rng.standard_normal((n, p1))
+        Zs[:, 9] = Zs[:, 4]
+        Zs[rng.integers(n), 9] += rng.uniform(-1e-12, 1e-12)
+        g = Zs[:, 4] + 0.1 * rng.standard_normal(n)
+        numer = np.add.reduce(np.ascontiguousarray(Zs[:, [4, 9]].T) * g, axis=1)
+        a, b = numer * numer / np.einsum("ij,ij->j", Zs[:, [4, 9]], Zs[:, [4, 9]])
+        if np.nextafter(min(a, b), np.inf) == max(a, b):
+            return Zs, g
+
+
 class TestOneStack:
-    """The rows of every family in one stack: the batched scan and the
-    joined kernels give each row the path it has alone."""
+    """The rows of every family in one stack: the screened exact choice and
+    the joined kernels give each row the path it has alone."""
 
     @pytest.mark.parametrize("n, p1, rows", [(500, 12, 20), (450, 102, 5), (1000, 502, 5), (301, 21, 7)])
-    def test_batched_scan_matches_per_row_gemv(self, n, p1, rows):
+    def test_screened_choice_is_exact_argmax(self, n, p1, rows):
         rng = np.random.default_rng(n + p1)
         Zs = rng.standard_normal((n, p1))
-        grad = rng.standard_normal((rows, n))
-        batched = SimpleNamespace(grad=grad, numer=np.zeros((rows, p1)), blocks_T=None)
-        per_row = SimpleNamespace(grad=grad, numer=np.zeros((rows, p1)), blocks_T=[Zs.T] * rows)
-        B._Stack.scan(batched, Zs, False)
-        B._Stack.scan(per_row, Zs, False)
-        np.testing.assert_array_equal(batched.numer.view(np.uint64), per_row.numer.view(np.uint64))
-        for g, numer in zip(grad, batched.numer):
-            np.testing.assert_array_equal(numer.view(np.uint64), (Zs.T @ g).view(np.uint64))
+        assert_exact_choice(Zs, rng.standard_normal((rows, n)), np.ones(p1, dtype=bool))
+
+    def test_screened_choice_on_planted_inputs(self):
+        rng = np.random.default_rng(7)
+        n, p1 = 200, 30
+        # two columns with equal exact scores, a column and its negation
+        Zs = rng.standard_normal((n, p1))
+        Zs[:, 12], Zs[:, 17] = Zs[:, 5], -Zs[:, 5]
+        grad = np.stack([Zs[:, 5] + 0.1 * rng.standard_normal(n), -Zs[:, 5]])
+        assert list(assert_exact_choice(Zs, grad, np.ones(p1, dtype=bool))) == [5, 5]
+        # scores one ulp apart, either of the two the better one
+        picks = set()
+        for _ in range(2):
+            Zs, g = ulp_apart_columns(rng, n, p1)
+            picks.add(int(assert_exact_choice(Zs, g[None], np.ones(p1, dtype=bool))[0]))
+            Zs[:, [4, 9]] = Zs[:, [9, 4]]
+            picks.add(int(assert_exact_choice(Zs, g[None], np.ones(p1, dtype=bool))[0]))
+        assert picks == {4, 9}
+        # a gradient orthogonal to every column: each float32 numerator is
+        # rounding noise, so no column can be ruled out
+        Zs = rng.standard_normal((n, p1))
+        noise = rng.standard_normal(n)
+        noise -= Zs @ np.linalg.lstsq(Zs, noise, rcond=None)[0]
+        assert_exact_choice(Zs, noise[None], np.ones(p1, dtype=bool))
+        # an all-zero gradient, with the first column masked, and gradients
+        # whose entries or rows span 1e-30 to 1e30
+        Zs = rng.standard_normal((n, p1))
+        mask = np.ones(p1, dtype=bool)
+        mask[0] = False
+        spans = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)
+        grad = np.stack([np.zeros(n), spans, 1e-30 * rng.standard_normal(n), 1e30 * rng.standard_normal(n)])
+        assert assert_exact_choice(Zs, grad, mask)[0] == 1
+        # degenerate and masked columns, the gradient along a masked one
+        Zs[:, 3] = 0.0
+        mask = np.ones(p1, dtype=bool)
+        mask[[3, 8]] = False
+        grad = np.stack([Zs[:, 8], Zs[:, 8] + Zs[:, 11], rng.standard_normal(n)])
+        best = assert_exact_choice(Zs, grad, mask)
+        assert 8 not in best and 3 not in best and best[1] == 11
+
+    def test_screened_numerator_is_exact(self):
+        # On a design of +-1 entries with N a power of two, |z_j|^2 = N
+        # exactly, so at nu = 1 the step N e_j / N gives back the numerator
+        # without rounding.
+        rng = np.random.default_rng(11)
+        n, p1 = 512, 40
+        Zs = rng.choice([-1.0, 1.0], (n, p1))
+        grad = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-30, 30, (6, 1))
+        best = assert_exact_choice(Zs, grad, np.ones(p1, dtype=bool), nu=1.0)
+        numer = np.add.reduce(np.ascontiguousarray(Zs[:, best].T) * grad, axis=1)
+        for _, increments, _ in screened_steps(Zs, grad, np.ones(p1, dtype=bool), nu=1.0):
+            np.testing.assert_array_equal((increments * n).view(np.uint64), numer.view(np.uint64))
+
+    def test_wide_stack_rows_fit_as_alone(self):
+        # the seed-2 pair-wide data set of the Gumbel I truth: N = 1000,
+        # p = 501 and five families, where a stacked scan with one float64
+        # GEMM moved every main path from its alone fit in the last bits
+        rng = np.random.default_rng(np.random.SeedSequence(2).spawn(5)[3])
+        Z = gen_covariates(1000, 501, 0.2, rng)
+        tau = F.link_tau(true_eta(Z))
+        w1, w2 = rng.random(1000), rng.random(1000)
+        pairs = np.column_stack([w1, F.hinv(CopulaFamily.GUMBEL_I, "2|1", w2, w1, tau)])
+        control = BoostControl()
+        fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
+        for family, fit in fits.items():
+            alone = fit_families(pairs, Z, [family], control)[family]
+            for path, alone_path in ((fit.risk_path, alone.risk_path), (fit.refit_path, alone.refit_path)):
+                assert (path is None) == (alone_path is None)
+                for name in ("selected", "increments", "risk", "active_size"):
+                    if path is not None:
+                        np.testing.assert_array_equal(getattr(path, name), getattr(alone_path, name))
 
     def test_same_base_families_apart_fit_as_alone(self):
         # Gumbel I and II are joined across the Gaussian rows between them
@@ -374,14 +493,13 @@ class TestCandidateFailure:
     """A row whose kernel raises inside the batched loop leaves alone, with
     the error it raises alone; the other rows keep their paths."""
 
-    @pytest.mark.parametrize("p, gemm", BATCHED_SHAPES)
-    def test_other_families_fit_as_alone(self, monkeypatch, p, gemm):
-        share_gemm(monkeypatch, gemm)
+    @pytest.mark.parametrize("p, opened", BATCHED_SHAPES)
+    def test_other_families_fit_as_alone(self, monkeypatch, p, opened):
         pairs, Z = sign_changing_data(CopulaFamily.GAUSSIAN, p)
-        # at nu = 0.1 no risk rises here, so no row is boosted again alone
         control = BoostControl(m_stop=100)
         bad = CopulaFamily.CLAYTON_I
         solo = {f: B.fit_family(pairs, Z, f, control) for f in F.FIT_FAMILIES if f != bad}
+        open_screen(monkeypatch, opened)
         prepare = LabelledPrepare(F.prepare, fail_from({bad}, at=17))
         monkeypatch.setattr(B, "prepare", prepare)
         fits = fit_families(pairs, Z, F.FIT_FAMILIES, control)
@@ -472,6 +590,82 @@ class TestCandidateFailure:
         assert info.value.diagnostics == {
             f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17 on folds [2]")) for f in F.FIT_FAMILIES
         }
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@hst.composite
+def drawn_stacks(draw):
+    """A stack for :func:`B._boost_paths`: 1-5 families with 1-4 rows each,
+    N of 40-200, 3-30 columns (the last one constant, maybe), m_stop of 1-40
+    per row, survivor columns per row of a shared design or else a fold
+    design, and the iteration from which some (family, row) kernels fail."""
+    families = draw(hst.lists(hst.sampled_from(F.FIT_FAMILIES), min_size=1, max_size=5, unique=True))
+    rows = {family: draw(hst.integers(1, 4)) for family in families}
+    n, p1 = draw(hst.integers(40, 200)), draw(hst.integers(3, 30))
+    m_stop = {family: draw(hst.lists(hst.integers(1, 40), min_size=k, max_size=k)) for family, k in rows.items()}
+    cols = None
+    if draw(hst.booleans()):
+        survivors = hst.lists(hst.integers(0, p1 - 1), min_size=1, max_size=5, unique=True).map(sorted).map(np.array)
+        cols = {family: [draw(survivors) for _ in range(k)] for family, k in rows.items()}
+    fails = draw(hst.dictionaries(hst.tuples(hst.sampled_from(families), hst.integers(0, 3)), hst.integers(0, 40),
+                                  max_size=3))
+    return SimpleNamespace(families=families, rows=rows, n=n, p1=p1, m_stop=m_stop, cols=cols, fails=fails,
+                           constant=draw(hst.booleans()), seed=draw(hst.integers(0, 2**32 - 1)))
+
+
+def fold_design(Z, k, rng):
+    """A K-fold design as :func:`B._cv_paths` builds it: fold i's rows in
+    the order "training rows, then held-out rows", standardized by its
+    training rows."""
+    n = len(Z)
+    folds = np.array_split(rng.permutation(n), k)
+    designs = [B._design(Z[np.r_[np.setdiff1d(np.arange(n), f), f]], n - len(f)) for f in folds]
+    return B._Design(*(np.array([getattr(d, name) for d in designs]) for name in B._Design.__dataclass_fields__))
+
+
+class TestStackProperty:
+    """Every row of a drawn stack against that row boosted alone."""
+
+    @given(stack=drawn_stacks())
+    @PROPERTY
+    def test_rows_fit_as_alone(self, stack):
+        rng = np.random.default_rng(stack.seed)
+        Z = np.column_stack([np.ones(stack.n), rng.standard_normal((stack.n, stack.p1 - 1))])
+        if stack.constant:
+            Z[:, -1] = 0.5
+        if stack.cols is None:
+            design = fold_design(Z, max(2, *stack.rows.values()), rng)
+        else:
+            design = B._design(Z)
+        data = {family: rng.random((2, k, stack.n)) for family, k in stack.rows.items()}
+
+        def fails(label, k, gradient):
+            if label in stack.fails and k >= stack.fails[label]:
+                return EvaluationError(f"{label[0].value} row {label[1]} failed at {stack.fails[label]}")
+
+        prepare = LabelledPrepare(F.prepare, fails)
+        out = B._boost_paths({family: prepare(family, *data[family]) for family in stack.families}, design, 0.3,
+                             stack.m_stop, stack.cols)
+        counts = {label: count for made in prepare.made for label, count in made.items()}
+        for family, k in stack.rows.items():
+            for r in range(k):
+                kernel = LabelledPrepare(F.prepare, fails)(family, *data[family]).take([r])
+                cols = None if stack.cols is None else {family: [stack.cols[family][r]]}
+                (alone,) = B._boost_paths({family: kernel}, design.row(r), 0.3, {family: [stack.m_stop[family][r]]},
+                                          cols)[family]
+                path, m = out[family][r], stack.m_stop[family][r]
+                if isinstance(alone, Exception):
+                    assert (type(path), str(path)) == (type(alone), str(alone))
+                else:
+                    for name in ("selected", "increments", "risk", "active_size"):
+                        np.testing.assert_array_equal(getattr(path, name), getattr(alone, name))
+                # once per iteration, up to the one that fails
+                unselectable = isinstance(alone, ConfigurationError)
+                at = min(stack.fails.get((family, r), m + 1), m + 1)
+                assert counts.get((family, r), 0) == (0 if unselectable else at)
+                assert isinstance(alone, EvaluationError) == (at <= m and not unselectable)
 
 
 def assert_cv_matches_reference(pairs, Z, family, control):

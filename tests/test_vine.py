@@ -227,9 +227,12 @@ class TestFitVine:
 
 def tree_batched_data(kind):
     """Copula data, covariates and structure of the tree-batched parity gate:
-    the benchmark 5-d vine at the benchmark's size, or a 6-d D-vine."""
+    the benchmark 5-d vine at the benchmark's size or on 525 covariates, a
+    design of 2.1 MB, or a 6-d D-vine."""
     if kind == "rvine5":
         structure, n, p, seed = benchmark_rvine_structure(), 500, 11, 41
+    elif kind == "rvine5-wide":
+        structure, n, p, seed = benchmark_rvine_structure(), 500, 525, 41
     else:
         structure, n, p, seed = dvine_structure(range(6)), 400, 8, 42
     n_edges = sum(len(tree) for tree in structure.trees)
@@ -328,19 +331,15 @@ class TestTreeBatched:
             f: repr(EvaluationError(f"{f.value} kernel failed at iteration 17")) for f in FIT_FAMILIES
         }
 
-    def test_shared_gemm_loop_matches_per_edge_fits(self, monkeypatch):
-        # designs this small boost each family alone; force the shared loop
-        monkeypatch.setattr(B, "_GEMM_MIN_BYTES", 0)
-        U, Z, structure = tree_batched_data("rvine5")
+    def test_wide_design_matches_per_edge_fits(self):
+        # a design of at least 2 MiB, the size from which a stack of
+        # several families once scanned with a float64 GEMM
+        U, Z, structure = tree_batched_data("rvine5-wide")
+        assert Z.nbytes >= 2 << 20
         control = BoostControl(m_stop=100)
         model = fit_vine(U, Z, structure, FIT_FAMILIES, control, truncation_level=2)
         reference = per_edge_fit_vine(U, Z, structure, FIT_FAMILIES, control, truncation_level=2)
-        for fits, ref_fits in zip(model.models[:2], reference.models[:2]):
-            for fit, ref in zip(fits, ref_fits):
-                assert (fit.family, fit.m_opt, fit.kept) == (ref.family, ref.m_opt, ref.kept)
-                np.testing.assert_allclose(fit.beta, ref.beta, rtol=1e-9, atol=1e-12)
-                for family, score in ref.selection_scores.items():
-                    assert fit.selection_scores[family] == pytest.approx(score, rel=1e-12)
+        assert model.to_json() == reference.to_json()
 
 
 class TestDensity:
