@@ -301,9 +301,9 @@ class _Stack:
         float32 design ``Zs32`` or, on CV folds, one GEMV per row on its own
         float32 block.  When some row's |g| lies outside (2^-100, 2^100),
         or is 0, each row is first scaled by the power of two 2^k that puts
-        its max|g| in [1, 2), k <= 934, which is exact; otherwise k = 0.
-        Either way float32 cannot overflow.  By
-        Higham's dot-product bound (*Accuracy and Stability of Numerical
+        its max|g| in [1, 2), exact but for entries it makes subnormal;
+        otherwise k = 0.  Either way float32 cannot overflow.
+        By Higham's dot-product bound (*Accuracy and Stability of Numerical
         Algorithms*, 2002, ch. 3) and Cauchy-Schwarz, in any summation order
         and with or without FMA, |s_j - 2^k e_j| <= c |z_j| for N data rows,
 
@@ -319,13 +319,18 @@ class _Stack:
         r_j >= (1 - 1e-6) max r - 2c over its row's selectable columns: the
         margin covers the float64 rounding of r, c and the scores, a few
         ulps each, and where c is too large for that the bound is negative
-        and every column stays.
+        and every column stays.  That holds while the scores are normal
+        float64 numbers: with |k| <= 480 a best column the bound can tell
+        apart has e_j^2 / |z_j|^2 > 2^(-46 - 2k) >= 2^-1006 and e_j^2 below
+        the overflow threshold.  Beyond that two different numerators can
+        give equal scores, so a row with |k| > 480 keeps every selectable
+        column.
         """
-        g = self.grad
+        g, exact = self.grad, None
         sq = np.einsum("ij,ij->i", g, g)
         if not 2.0**-200 < sq.min() <= sq.max() < 2.0**200:  # |g| far from 1, or 0: scale by 2^k first
-            gmax = np.abs(g).max(axis=1)
-            g = np.ldexp(g, np.minimum(1 - np.frexp(gmax)[1], 934)[:, None])
+            k = 1 - np.frexp(np.abs(g).max(axis=1))[1]
+            g, exact = np.ldexp(g, k[:, None]), np.abs(k) > 480
             sq = np.einsum("ij,ij->i", g, g)
         g32 = g.astype(np.float32)
         if self.blocks32 is None:
@@ -338,7 +343,10 @@ class _Stack:
                 np.matmul(gi[: len(block)], block, out=si[: block.shape[1]])
         r = np.abs(s) * self.inv_norm
         gamma, floor = self.slack
-        return (r >= ((1.0 - 1e-6) * r.max(axis=1) - (gamma * np.sqrt(sq) + floor))[:, None]) & self.mask
+        candidates = (r >= ((1.0 - 1e-6) * r.max(axis=1) - (gamma * np.sqrt(sq) + floor))[:, None]) & self.mask
+        if exact is not None and exact.any():
+            candidates[exact] = self.mask[exact]
+        return candidates
 
     def step(self, m, nu, Zs, Zs32):
         """Iteration m of every live row: the candidates of its screen (see

@@ -402,6 +402,11 @@ class TestOneStack:
         spans = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)
         grad = np.stack([np.zeros(n), spans, 1e-30 * rng.standard_normal(n), 1e30 * rng.standard_normal(n)])
         assert assert_exact_choice(Zs, grad, mask)[0] == 1
+        # gradients so small or so large that the scores underflow to 0 or
+        # overflow to inf: the tied scores pick the first selectable column
+        grad = np.stack([1e-180 * rng.standard_normal(n), 1e170 * rng.standard_normal(n)])
+        with np.errstate(over="ignore"):
+            assert list(assert_exact_choice(Zs, grad, mask)) == [1, 1]
         # degenerate and masked columns, the gradient along a masked one
         Zs[:, 3] = 0.0
         mask = np.ones(p1, dtype=bool)
