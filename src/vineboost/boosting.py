@@ -408,11 +408,6 @@ def _active_sizes(selected, increments):
     return np.array(active, dtype=np.int64)
 
 
-def _take(kernel, rows, n_rows):
-    """``kernel`` on its rows ``rows``; the kernel itself when that is all of them."""
-    return kernel if len(rows) == n_rows else kernel.take(rows)
-
-
 def _boost_paths(kernels, design, nu, m_stop, cols=None):
     """Boost the rows of every kernel in ``kernels`` (family -> PairKernel)
     on one design, as one stack.
@@ -656,12 +651,7 @@ class FittedPairCopula:
 
 def predict_tau(model, Z):
     """Per-row Kendall's tau implied by the fitted linear predictor."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] != len(model.beta):
-        raise InterfaceError(
-            f"covariate row length {Z.shape[-1]} does not match the model's {len(model.beta)}"
-        )
-    return link_tau(Z @ model.beta)
+    return link_tau(_checked_array("Z", Z, cols=len(model.beta)) @ model.beta)
 
 
 def _pair_loglik(family, pairs, Z, beta):
@@ -703,29 +693,37 @@ def _fitted(path, m_opt, survivors, refit_path):
     )
 
 
-def _fit_edges(pairs, Z, families, control, refit=True):
-    """Fit every family on each edge of a stack of checked copula data.
+def _fit_edges(pairs, Z, candidates, control, refit=True):
+    """Fit each edge of a stack of checked copula data on its candidate families.
 
     ``pairs`` is (E, N, 2), one vine edge per row, all on the covariates
-    ``Z`` and their one standardized design.  The main paths of every
-    edge and family run through one :func:`_boost_paths` call.  Each edge
-    then stops and, with ``refit``, is deselected on its own; the refits of
-    every family and edge run in one more call, each on its own survivor
-    columns.  Returns family -> one :class:`FittedPairCopula` per edge, or
-    the :class:`EvaluationError`, ``FloatingPointError`` or
+    ``Z`` and their one standardized design; ``candidates[e]`` holds edge
+    e's families, maybe none.  Each family has one kernel over its edges,
+    and all main paths run through one :func:`_boost_paths` call.  Each
+    then stops and, with ``refit``, is deselected on its own; the refits
+    run in one more call, each on its own survivor columns.  Returns one
+    dict per edge, family -> :class:`FittedPairCopula`, or the
+    :class:`EvaluationError`, ``FloatingPointError`` or
     :class:`ConfigurationError` that stopped the family on that edge.
     With CV stopping, too few rows for the folds raise
     :class:`ConfigurationError` before any family is boosted.
     """
-    n_edges = len(pairs)
     if control.stopping == "cv":
         _check_fold_rows(pairs.shape[1], control.cv_folds)
+    out = [dict.fromkeys(families) for families in candidates]
+    at = {}  # family -> the edges it is fitted on, one kernel row each
+    for e, fits in enumerate(out):
+        for family in fits:
+            at.setdefault(family, []).append(e)
+    if not at:
+        return out
     design = _design(Z)
-    kernels = {family: prepare(family, pairs[..., 0], pairs[..., 1]) for family in families}
-    results = _boost_paths(kernels, design, control.nu, {family: [control.m_stop] * n_edges for family in kernels})
+    kernels = {family: prepare(family, pairs[edges, :, 0], pairs[edges, :, 1]) for family, edges in at.items()}
+    results = _boost_paths(kernels, design, control.nu, {family: [control.m_stop] * len(at[family]) for family in at})
     stops = {}
-    for family, fits in results.items():
-        for e, path in enumerate(fits):
+    for family, paths in results.items():
+        for row, (e, path) in enumerate(zip(at[family], paths)):
+            out[e][family] = path
             if isinstance(path, Exception):
                 continue
             try:
@@ -734,29 +732,29 @@ def _fit_edges(pairs, Z, families, control, refit=True):
                 if refit:
                     survivors = tuple(int(j) for j in deselect(path, control.gamma))
             except _CANDIDATE_ERRORS as exc:
-                fits[e] = exc
+                out[e][family] = exc
                 continue
-            stops[family, e] = (m_opt, survivors)
+            stops[family, row] = (m_opt, survivors)
     redo = {}
-    for (family, e), (m_opt, survivors) in stops.items():
+    for (family, row), (m_opt, survivors) in stops.items():
         if survivors and m_opt > 0:
-            redo.setdefault(family, []).append(e)
+            redo.setdefault(family, []).append(row)
     refits = {}
     if redo:
-        m_opts = {family: [stops[family, e][0] for e in edges] for family, edges in redo.items()}
-        cols = {family: [np.array(stops[family, e][1]) for e in edges] for family, edges in redo.items()}
+        m_opts = {family: [stops[family, row][0] for row in rows] for family, rows in redo.items()}
+        cols = {family: [np.array(stops[family, row][1]) for row in rows] for family, rows in redo.items()}
         # the refit stack takes the kernels over (pop), so that the data of
         # its rows is freed as they leave it
-        paths = _boost_paths({family: _take(kernels.pop(family), edges, n_edges) for family, edges in redo.items()},
+        paths = _boost_paths({family: kernels.pop(family).take(rows) for family, rows in redo.items()},
                              design, control.nu, m_opts, cols)
-        refits = {(family, e): path for family, edges in redo.items() for e, path in zip(edges, paths[family])}
-    for (family, e), (m_opt, survivors) in stops.items():
-        refit_path = refits.get((family, e))
+        refits = {(family, row): path for family, rows in redo.items() for row, path in zip(rows, paths[family])}
+    for (family, row), (m_opt, survivors) in stops.items():
+        e, refit_path = at[family][row], refits.get((family, row))
         if isinstance(refit_path, Exception):
-            results[family][e] = refit_path
+            out[e][family] = refit_path
         else:
-            results[family][e] = _fitted(results[family][e], m_opt, survivors, refit_path)
-    return results
+            out[e][family] = _fitted(out[e][family], m_opt, survivors, refit_path)
+    return out
 
 
 def fit_family(pairs, Z, family, control, refit=True):
@@ -770,7 +768,7 @@ def fit_family(pairs, Z, family, control, refit=True):
     """
     pairs, Z = _checked_data(pairs, Z)
     family = _family(family)
-    (fit,) = _fit_edges(pairs[None], Z, [family], control, refit)[family]
+    fit = _fit_edges(pairs[None], Z, [[family]], control, refit)[0][family]
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -792,14 +790,15 @@ def _candidates(families, criterion):
     return families
 
 
-def _fit_pairs(pairs, Z, families, control, criterion):
+def _fit_pairs(pairs, Z, candidates, control, criterion):
     """:func:`fit_pair` on each edge of a stack of checked copula data.
 
     ``pairs`` is (E, N, 2), one vine edge per row, on the covariates ``Z``;
-    ``families`` and ``criterion`` are checked by :func:`_candidates`.
-    The edges are fitted together (see :func:`_fit_edges`) and each picks
-    its own winner.  Returns one :class:`FittedPairCopula` per edge, or
-    the exception that edge's :func:`fit_pair` raises.
+    ``candidates[e]`` holds edge e's checked families.  The edges are fitted
+    together (see :func:`_fit_edges`), each picks its own winner, and the
+    "predictive_risk" winners are refitted together.  Returns one
+    :class:`FittedPairCopula` per edge, or the exception that edge's
+    :func:`fit_pair` raises.
     """
     n = pairs.shape[1]
     split = n
@@ -807,13 +806,13 @@ def _fit_pairs(pairs, Z, families, control, criterion):
         split = int(round(0.75 * n))
         if split < 1 or split >= n:
             raise ConfigurationError("too few rows for a 25% holdout")
-    results = _fit_edges(pairs[:, :split], Z[:split], families, control)
+    results = _fit_edges(pairs[:, :split], Z[:split], candidates, control)
 
-    winners, refit = [], {}
-    for e in range(len(pairs)):
-        fits = {family: r[e] for family, r in results.items() if not isinstance(r[e], Exception)}
+    winners, refit = [], [()] * len(pairs)
+    for e, tried in enumerate(results):
+        fits = {family: fit for family, fit in tried.items() if not isinstance(fit, Exception)}
         if not fits:
-            failures = {family: repr(r[e]) for family, r in results.items()}
+            failures = {family: repr(fit) for family, fit in tried.items()}
             winners.append(FitError("all candidate families failed", diagnostics=failures))
             continue
         if criterion == "aic":
@@ -829,17 +828,17 @@ def _fit_pairs(pairs, Z, families, control, criterion):
                 for family, fit in fits.items()
             }
             best = min(fits, key=lambda f: (scores[f], f.value))
-            refit.setdefault(best, []).append(e)
+            refit[e] = (best,)
         fits[best].selection_scores = {family.value: float(score) for family, score in scores.items()}
         winners.append(fits[best])
 
-    # "predictive_risk" refits each winner on all rows, the edges won by
-    # one family together
-    for family, edges in refit.items():
-        for e, fit in zip(edges, _fit_edges(pairs[edges], Z, [family], control)[family]):
-            if not isinstance(fit, Exception):
-                fit.selection_scores = winners[e].selection_scores
-            winners[e] = fit
+    # "predictive_risk" refits each edge's winner on all rows
+    if criterion == "predictive_risk":
+        for e, refits in enumerate(_fit_edges(pairs, Z, refit, control)):
+            for fit in refits.values():
+                if not isinstance(fit, Exception):
+                    fit.selection_scores = winners[e].selection_scores
+                winners[e] = fit
     return winners
 
 
@@ -857,7 +856,7 @@ def fit_pair(pairs, Z, families, control=None, criterion="aic"):
     families = _candidates(families, criterion)
     # The holdout rows of "predictive_risk" are never boosted on; check all.
     pairs, Z = _checked_data(pairs, Z)
-    (winner,) = _fit_pairs(pairs[None], Z, families, control, criterion)
+    (winner,) = _fit_pairs(pairs[None], Z, [families], control, criterion)
     if isinstance(winner, Exception):
         raise winner
     return winner

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boosting as bst
-from .boosting import BoostControl, FittedPairCopula, predict_tau
+from .boosting import BoostControl, FittedPairCopula
 from .errors import ConfigurationError, InterfaceError, StructureError
-from .families import (CopulaFamily, _checked_array, _clamp_u, _family, hfunc, hinv, log_density, tau_to_theta,
-                       theta_to_tau)
+from .families import (CopulaFamily, _checked_array, _clamp_u, _family, hfunc, hinv, link_tau, log_density,
+                       tau_to_theta, theta_to_tau)
 
 __all__ = [
     "VineEdge",
@@ -311,7 +311,7 @@ def _fitted_h(fit_of, Z):
 
     def h(e, which, ua, ub):
         fit = fit_of[e]
-        return _clamp_u(hfunc(fit.family, which, ua, ub, predict_tau(fit, Z)))
+        return _clamp_u(hfunc(fit.family, which, ua, ub, link_tau(Z @ fit.beta)))
 
     return h
 
@@ -388,7 +388,7 @@ class ConditionalVineModel:
         for e, (ua, ub) in self._pseudo_observations(U, Z).items():
             fit = self._by_edge[e]
             if fit.family != CopulaFamily.INDEPENDENCE:
-                out += log_density(fit.family, ua, ub, predict_tau(fit, Z))
+                out += log_density(fit.family, ua, ub, link_tau(Z @ fit.beta))
         return out
 
     def _order(self):
@@ -420,7 +420,7 @@ class ConditionalVineModel:
             for e in chain:
                 fit = self._by_edge[e]
                 arg = F(e.b if x == e.a else e.a, e.cond)
-                q = hinv(fit.family, "1|2" if x == e.a else "2|1", q, arg, predict_tau(fit, Z))
+                q = hinv(fit.family, "1|2" if x == e.a else "2|1", q, arg, link_tau(Z @ fit.beta))
             values[x] = np.asarray(q, dtype=float)
         U = np.empty_like(W)
         for v, col in values.items():
@@ -528,7 +528,7 @@ class ConditionalVineModel:
 
 
 def _edge_candidates(structure, levels, families, edge_families, deselect, criterion):
-    """The candidate families of every edge of the fitted trees, per tree.
+    """The candidate families of every edge of the fitted trees, edge -> tuple.
 
     Raises :class:`ConfigurationError` when ``families``, ``edge_families``
     or ``criterion`` do not fit the structure, before any edge is fitted.
@@ -539,17 +539,17 @@ def _edge_candidates(structure, levels, families, edge_families, deselect, crite
         if families is None:
             raise ConfigurationError("families is required without edge_families")
         candidates = tuple(bst._candidates(families, criterion))
-        return [[candidates] * len(tree) for tree in structure.trees[:levels]]
+        return {e: candidates for tree in structure.trees[:levels] for e in tree}
     if deselect:
         bst._check_criterion(criterion)
     if len(edge_families) < levels:
         raise ConfigurationError(f"edge_families has {len(edge_families)} trees, {levels} are fitted")
-    out = []
+    out = {}
     for t, tree in enumerate(structure.trees[:levels], start=1):
         pinned = list(edge_families[t - 1])
         if len(pinned) != len(tree):
             raise ConfigurationError(f"edge_families tree {t} has {len(pinned)} families for {len(tree)} edges")
-        out.append([(_family(f),) for f in pinned])
+        out.update((e, (_family(f),)) for e, f in zip(tree, pinned))
     return out
 
 
@@ -567,13 +567,14 @@ def fit_vine(
 ):
     """Sequential top-down estimation of a conditional vine copula.
 
-    The edges of one tree are boosted together, tree by tree, on one
-    standardized design of Z made for that tree, and each edge gets the
-    fit that :func:`fit_pair` gives it alone.  Tree-1 edges are fit on the raw
-    columns; each deeper tree is fit on pseudo-observations pushed through
-    the parents' h-functions with the per-observation tau implied by that
-    row's covariates.  ``edge_families`` (a list of per-tree lists) pins one
-    family per edge; ``deselect=False`` requires it and fits each edge like
+    The edges of one tree, each on its own candidates, are boosted as one
+    stack, tree by tree, on one standardized design of Z made for that
+    tree, and each edge gets the fit that :func:`fit_pair` gives it alone.
+    Tree-1 edges are fit on the raw columns; each deeper tree is fit on
+    pseudo-observations pushed through the parents' h-functions with the
+    per-observation tau implied by that row's covariates.
+    ``edge_families`` (a list of per-tree lists) pins one family per edge;
+    ``deselect=False`` requires it and fits each edge like
     ``fit_family(..., refit=False)`` (early stopping, no deselection or
     refit).  ``families``, ``edge_families`` and ``criterion`` are checked
     before any edge is fitted (:class:`ConfigurationError`).
@@ -600,27 +601,26 @@ def fit_vine(
     # fits of the trees below it
     models, fit_of, cache = [], {}, {}
     index, h, values = _edge_index(structure.trees), _fitted_h(fit_of, Z), _columns(U)
-    for t, tree in enumerate(structure.trees[:levels]):
-        # the edges of one tree stack by their candidate families; outcome
-        # holds each edge's fit or error
-        data, outcome, stacks = {}, {}, {}
-        for e, fams in zip(tree, candidates[t]):
+    for tree in structure.trees[:levels]:
+        # the edges of one tree whose data is sound make one stack, each on
+        # its own candidates; outcome holds each edge's fit or error
+        data, outcome = {}, {}
+        for e in tree:
             try:
                 pairs = np.column_stack([_cond_cdf(v, e.cond, index, h, values, cache) for v in (e.a, e.b)])
                 data[e] = bst._checked_pairs(pairs)
-                stacks.setdefault(fams, []).append(e)
             except Exception as exc:
                 outcome[e] = exc
-        for fams, edges in stacks.items():
-            pairs = np.stack([data[e] for e in edges])
-            try:
-                if deselect:
-                    fits = bst._fit_pairs(pairs, Z, fams, control, criterion)
-                else:
-                    fits = bst._fit_edges(pairs, Z, fams, control, refit=False)[fams[0]]
-            except Exception as exc:
-                fits = [exc] * len(edges)
-            outcome.update(zip(edges, fits))
+        fams = [candidates[e] for e in data]
+        try:
+            pairs = np.stack(list(data.values()))
+            if deselect:
+                fits = bst._fit_pairs(pairs, Z, fams, control, criterion)
+            else:
+                fits = [fit[f] for fit, (f,) in zip(bst._fit_edges(pairs, Z, fams, control, refit=False), fams)]
+        except Exception as exc:
+            fits = [exc] * len(data)
+        outcome.update(zip(data, fits))
         for e in tree:
             if isinstance(outcome[e], Exception):
                 raise _prefixed(outcome[e], f"edge {e.label()}")

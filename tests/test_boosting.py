@@ -193,7 +193,7 @@ def reference_boost(pairs, Z, family, control, selectable=None):
 
 def fit_families(pairs, Z, families, control):
     """family -> the fit of ``B._fit_edges`` on the one edge ``pairs``, or its error."""
-    return {family: fits[0] for family, fits in B._fit_edges(pairs[None], Z, families, control).items()}
+    return B._fit_edges(pairs[None], Z, [families], control)[0]
 
 
 def holdout_risk_path(path, pairs, Z):
@@ -671,6 +671,72 @@ class TestStackProperty:
                 at = min(stack.fails.get((family, r), m + 1), m + 1)
                 assert counts.get((family, r), 0) == (0 if unselectable else at)
                 assert isinstance(alone, EvaluationError) == (at <= m and not unselectable)
+
+
+@hst.composite
+def drawn_edges(draw):
+    """Edges for :func:`B._fit_edges`: 1-3 edges, each with its own subset of
+    the families (maybe none) and with or without dependence on the
+    covariates, N of 40-150, 2-5 covariates after the intercept, m_stop of
+    1-30, AIC or CV stopping, refit or not, and the evaluation from which
+    some (family, edge) kernels fail."""
+    n_edges = draw(hst.integers(1, 3))
+    candidates = [draw(hst.lists(hst.sampled_from(F.FIT_FAMILIES), max_size=5, unique=True)) for _ in range(n_edges)]
+    signal = draw(hst.lists(hst.sampled_from([0.0, 0.5]), min_size=n_edges, max_size=n_edges))
+    control = BoostControl(m_stop=draw(hst.integers(1, 30)), nu=0.3, stopping=draw(hst.sampled_from(["aic", "cv"])),
+                           cv_folds=draw(hst.integers(2, 4)), seed=draw(hst.integers(0, 99)))
+    fails = draw(hst.dictionaries(hst.tuples(hst.sampled_from(F.FIT_FAMILIES), hst.integers(0, n_edges - 1)),
+                                  hst.integers(0, 60), max_size=3))
+    return SimpleNamespace(candidates=candidates, signal=signal, n=draw(hst.integers(40, 150)),
+                           p1=draw(hst.integers(3, 6)), control=control, refit=draw(hst.booleans()), fails=fails,
+                           seed=draw(hst.integers(0, 2**32 - 1)))
+
+
+class TestEdgeCandidatesProperty:
+    """Every (edge, family) of a drawn ``_fit_edges`` call, each edge on its
+    own candidates, against ``fit_family`` on that edge and family alone."""
+
+    @given(edges=drawn_edges())
+    @PROPERTY
+    @pytest.mark.filterwarnings("ignore:total risk reduction is not positive")
+    def test_edges_fit_as_alone(self, edges):
+        rng = np.random.default_rng(edges.seed)
+        n_edges = len(edges.candidates)
+        Z = np.column_stack([np.ones(edges.n), rng.standard_normal((edges.n, edges.p1 - 1))])
+        pairs = np.empty((n_edges, edges.n, 2))
+        for e in range(n_edges):
+            tau = np.tanh(Z @ rng.uniform(-edges.signal[e], edges.signal[e], edges.p1))
+            truth = F.FIT_FAMILIES[rng.integers(len(F.FIT_FAMILIES))]
+            pairs[e, :, 0] = rng.random(edges.n)
+            pairs[e, :, 1] = F.hinv(truth, "2|1", rng.random(edges.n), pairs[e, :, 0], tau)
+        # a row's label is the edge whose data it holds, None on the
+        # permuted rows of a CV fold, which never fail
+        data = [(F._clamp_u(pairs[e, :, 0]), F._clamp_u(pairs[e, :, 1])) for e in range(n_edges)]
+
+        def row_ids(u1, u2):
+            return [next((e for e, (b1, b2) in enumerate(data) if np.array_equal(a1, b1) and np.array_equal(a2, b2)),
+                         None) for a1, a2 in zip(u1, u2)]
+
+        def fails(label, k, gradient):
+            if label in edges.fails and k >= edges.fails[label]:
+                return EvaluationError(f"{label[0].value} edge {label[1]} failed at {edges.fails[label]}")
+
+        with pytest.MonkeyPatch.context() as patch:  # not the fixture, which outlives each example
+            patch.setattr(B, "prepare", LabelledPrepare(F.prepare, fails, row_ids))
+            out = B._fit_edges(pairs, Z, edges.candidates, edges.control, edges.refit)
+            assert [list(fits) for fits in out] == edges.candidates
+            for e, fits in enumerate(out):
+                for family, fit in fits.items():
+                    try:
+                        alone = B.fit_family(pairs[e], Z, family, edges.control, edges.refit)
+                    except Exception as exc:
+                        alone = exc
+                    if isinstance(alone, Exception):
+                        assert (type(fit), str(fit)) == (type(alone), str(alone))
+                        continue
+                    np.testing.assert_array_equal(fit.beta, alone.beta)
+                    for name in ("m_opt", "aic", "loglik", "kept", "survivors"):
+                        assert getattr(fit, name) == getattr(alone, name)
 
 
 def assert_cv_matches_reference(pairs, Z, family, control):

@@ -58,6 +58,7 @@ CALLERS = {
        for method in ("pseudo_observations", "log_density", "rosenblatt")},
     "inverse_rosenblatt": (lambda a: MODEL.inverse_rosenblatt(a["W"], a["Z"]), {"Z": ("N", 3), "W": (N, 3)}),
     "sample": (lambda a: MODEL.sample(a["Z"], 0), {"Z": ("N", 3)}),
+    "predict_tau": (lambda a: B.predict_tau(MODEL.models[0][0], a["Z"]), {"Z": ("N", 3)}),
     "select_structure": (lambda a: select_structure(a["U"]), {"U": ("N", "p")}),
     "prepare": (lambda a: F.prepare(GAUSS, a["pairs"][:, 0], a["pairs"][:, 1]), {"pairs": None}),
     "gca_fit": (lambda a: S.gca_fit(a["latent"]), {"latent": ("N", "p")}),

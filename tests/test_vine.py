@@ -266,7 +266,8 @@ def per_edge_fit_vine(U, Z, structure, families, control=None, truncation_level=
 
 
 def pinned_families(structure):
-    # neighbouring edges share a family, so a tree stacks several groups
+    # neighbouring edges share a family, so a tree's one stack holds kernels
+    # of several families, some over more than one edge
     return [[FIT_FAMILIES[(t + i // 2) % len(FIT_FAMILIES)] for i in range(len(tree))]
             for t, tree in enumerate(structure.trees)]
 
@@ -274,6 +275,7 @@ def pinned_families(structure):
 TREE_BATCHED_SETTINGS = {
     "aic": {},
     "pinned": {"families": None, "edge_families": pinned_families, "deselect": False},
+    "pinned-deselect": {"families": None, "edge_families": pinned_families},
     "truncated": {"truncation_level": 2},
     "predictive_risk": {"criterion": "predictive_risk"},
     "cv": {"control": BoostControl(m_stop=60, stopping="cv", cv_folds=5, seed=3)},
@@ -304,13 +306,19 @@ class TestTreeBatched:
 
     @pytest.mark.parametrize("setting", list(TREE_BATCHED_SETTINGS))
     @pytest.mark.parametrize("kind", ["rvine5", "dvine6"])
-    def test_model_matches_per_edge_fits(self, kind, setting):
+    def test_model_matches_per_edge_fits(self, monkeypatch, kind, setting):
         U, Z, structure = tree_batched_data(kind)
         kwargs = {"families": FIT_FAMILIES, "control": BoostControl(m_stop=100),
                   **TREE_BATCHED_SETTINGS[setting]}
         if "edge_families" in kwargs:
             kwargs["edge_families"] = kwargs["edge_families"](structure)
+        fit_edges, calls = B._fit_edges, []
+        monkeypatch.setattr(B, "_fit_edges", lambda *args, **kw: calls.append(args) or fit_edges(*args, **kw))
         model = fit_vine(U, Z, structure, **kwargs)
+        # one stack per fitted tree, whatever the candidates, and one more
+        # for the refits of the "predictive_risk" winners
+        trees = kwargs.get("truncation_level") or len(structure.trees)
+        assert len(calls) == trees * (2 if kwargs.get("criterion") == "predictive_risk" else 1)
         assert model.to_json() == per_edge_fit_vine(U, Z, structure, **kwargs).to_json()
 
     def test_failing_edge_leaves_the_others_as_alone(self, monkeypatch):
